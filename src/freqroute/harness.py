@@ -18,16 +18,15 @@ METRICS = (Metric.DISTANCE, Metric.BANDWIDTH)
 
 
 def lowest_connected_pair(graph: LinkGraph) -> tuple[int, int] | None:
-    """First ordered id pair (lexicographically) whose vehicles can reach each other."""
-    comp_index: dict[int, int] = {}
-    for idx, members in enumerate(graph.components()):
-        for vid in members:
-            comp_index[vid] = idx
-    ids = sorted(graph.vehicle_ids)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if comp_index[a] == comp_index[b]:
-                return a, b
+    """First ordered id pair (lexicographically) whose vehicles can reach each other.
+
+    Components come ordered by their smallest id, so the pair is the two
+    smallest ids of the first component with more than one vehicle.
+    """
+    for members in graph.components():
+        if len(members) > 1:
+            a, b = sorted(members)[:2]
+            return a, b
     return None
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -96,27 +97,89 @@ class LinkGraph:
         return out
 
 
+# A cell a hair wider than the range: a pair that passes the rounded
+# `euclid(a, b) <= comm_range` can be up to a few ulps farther apart than the
+# range, and with cells exactly `comm_range` wide such a pair can sit two
+# cells apart (range 256, x = 256 - 2**-45 and x = 512).
+_CELL_MARGIN = 1 + 2**-20
+# Cells are also at least 1/_MAX_CELL_INDEX of the largest coordinate, which
+# keeps every cell index small and exact: `x // side` is the true floor of
+# x / side only while that quotient is far below 2**53.
+_MAX_CELL_INDEX = 2**20
+
+
+def _cell_side(scenario: Scenario) -> float | None:
+    """Side of the square grid cells, or None when one cell must hold every vehicle.
+
+    Any side of at least `comm_range * _CELL_MARGIN` is correct; an infinite
+    range gives infinite cells, so every pair is tested. None covers the
+    inputs no positive side can bucket: non-finite positions, a NaN range,
+    and a range of zero or less with every vehicle at the origin.
+    """
+    coords = [c for v in scenario.vehicles for c in v.position]
+    if not all(map(math.isfinite, coords)):
+        return None
+    extent = max(map(abs, coords), default=0.0)
+    side = max(scenario.comm_range * _CELL_MARGIN, extent / _MAX_CELL_INDEX)
+    return side if side > 0 else None
+
+
 def build_link_graph(scenario: Scenario) -> LinkGraph:
     """Derive the link graph from vehicle positions, range, and channel plans.
 
     A link between a and b exists iff euclid(a, b) <= comm_range (equality
     counts as connected) and shared_frequency_pairs(a, b) is non-empty. Every
     vehicle appears as a vertex even when isolated.
+
+    Candidates come from a uniform grid (fixed-radius near-neighbour
+    bucketing, Bentley, Stanat & Williams 1977): every pair within range lies
+    in the same or adjacent cells, so only the 3x3 block around a vehicle is
+    tested. Pairs are visited in the order of an all-pairs scan by id, so
+    neighbour lists come out sorted by id.
     """
     order = sorted(scenario.vehicles, key=lambda v: v.vehicle_id)
     adjacency: dict[int, list[Link]] = {v.vehicle_id: [] for v in order}
+    side = _cell_side(scenario)
+    keys = [
+        (0, 0) if side is None else (int(v.position[0] // side), int(v.position[1] // side))
+        for v in order
+    ]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        cells.setdefault(key, []).append(i)
+    blocks: dict[tuple[int, int], list[int]] = {}  # cell -> sorted members of its 3x3 block
+    # shared_frequency_pairs reads only radio ids and channels, so vehicles
+    # with the same (id, channel) plan share every result
+    plan_ids: dict[tuple, int] = {}
+    plans = [
+        plan_ids.setdefault(tuple((r.radio_id, r.frequency) for r in v.radios), len(plan_ids))
+        for v in order
+    ]
+    memo: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in plan_ids]
+    reach = scenario.comm_range
     for i, a in enumerate(order):
-        for b in order[i + 1 :]:
-            d = euclid(a.position, b.position)
-            if d > scenario.comm_range:
-                continue
-            pairs = shared_frequency_pairs(a, b)
-            if not pairs:
-                continue
-            adjacency[a.vehicle_id].append(
-                Link(a.vehicle_id, b.vehicle_id, d, tuple(pairs))
+        key = keys[i]
+        block = blocks.get(key)
+        if block is None:
+            cx, cy = key
+            block = blocks[key] = sorted(
+                j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for j in cells.get((cx + dx, cy + dy), ())
             )
-            adjacency[b.vehicle_id].append(
-                Link(b.vehicle_id, a.vehicle_id, d, tuple(shared_frequency_pairs(b, a)))
-            )
+        a_id, (ax, ay), a_plan = a.vehicle_id, a.position, plans[i]
+        a_memo, a_links = memo[a_plan], adjacency[a_id]
+        for j in block[bisect_right(block, i):]:
+            b = order[j]
+            bx, by = b.position
+            d = math.hypot(ax - bx, ay - by)  # euclid(a.position, b.position)
+            if d > reach:
+                continue
+            b_plan = plans[j]
+            pairs = a_memo.get(b_plan)
+            if pairs is None:
+                pairs = a_memo[b_plan] = tuple(shared_frequency_pairs(a, b))
+                memo[b_plan][a_plan] = tuple(shared_frequency_pairs(b, a))
+            if pairs:
+                b_id = b.vehicle_id
+                a_links.append(Link(a_id, b_id, d, pairs))
+                adjacency[b_id].append(Link(b_id, a_id, d, memo[b_plan][a_plan]))
     return LinkGraph(adjacency)

@@ -1,6 +1,7 @@
 import math
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
 from freqroute import (
     Scenario,
@@ -8,8 +9,10 @@ from freqroute import (
     euclid,
     generate_scenario,
     shared_frequency_pairs,
+    validate_scenario,
 )
 from freqroute.model import GenSpec
+from freqroute.topology import Link, LinkGraph
 from conftest import make_vehicle
 
 
@@ -166,6 +169,115 @@ def test_brute_force_equivalence():
                     assert list(link.radio_pairs) == pairs
                 else:
                     assert link is None
+
+
+def all_pairs_link_graph(scenario):
+    """The quadratic builder the grid replaced: every pair tested, in id order."""
+    order = sorted(scenario.vehicles, key=lambda v: v.vehicle_id)
+    adjacency = {v.vehicle_id: [] for v in order}
+    for i, a in enumerate(order):
+        for b in order[i + 1 :]:
+            d = euclid(a.position, b.position)
+            if d > scenario.comm_range:
+                continue
+            pairs = shared_frequency_pairs(a, b)
+            if not pairs:
+                continue
+            adjacency[a.vehicle_id].append(
+                Link(a.vehicle_id, b.vehicle_id, d, tuple(pairs))
+            )
+            adjacency[b.vehicle_id].append(
+                Link(b.vehicle_id, a.vehicle_id, d, tuple(shared_frequency_pairs(b, a)))
+            )
+    return LinkGraph(adjacency)
+
+
+def assert_matches_all_pairs(scenario):
+    g, ref = build_link_graph(scenario), all_pairs_link_graph(scenario)
+    assert g.vehicle_ids == ref.vehicle_ids
+    for vid in ref.vehicle_ids:
+        assert g.neighbors(vid) == ref.neighbors(vid)
+
+
+@st.composite
+def fleets(draw):
+    """Small fleets shaped to stress a range-sized grid.
+
+    Thin strips, ranges that cover the whole area, coordinates on multiples
+    of the range and one ulp either side of them, repeated positions, and
+    1-3 radios over 1-3 channels.
+    """
+    width, height = draw(st.sampled_from([(500.0, 500.0), (5000.0, 50.0), (50.0, 5000.0)]))
+    reach = draw(
+        st.floats(1.0, 400.0)
+        | st.floats(1.0, 3.0).map(lambda k: k * math.hypot(width, height))
+    )
+
+    def coordinate(limit):
+        snapped = st.integers(0, int(limit // reach)).map(lambda k: k * reach)
+        return st.floats(0.0, limit) | snapped.flatmap(
+            lambda x: st.sampled_from(
+                [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+            )
+        )
+
+    points = draw(st.lists(st.tuples(coordinate(width), coordinate(height)), min_size=1, max_size=40))
+    points += draw(st.lists(st.sampled_from(points), max_size=5))
+    ids = draw(st.permutations(range(1, len(points) + 1)))
+    channels = draw(st.integers(1, 3))
+    plan = st.lists(st.integers(1, channels), min_size=1, max_size=3)
+    vehicles = [
+        make_vehicle(vid, x, y, [(rid, f, 5.0) for rid, f in enumerate(draw(plan), 1)])
+        for vid, (x, y) in zip(ids, points)
+    ]
+    return Scenario((width, height), reach, tuple(vehicles))
+
+
+def sweep_fleet(seed):
+    """A fleet at `freqroute sweep --vehicles 3000 --area 6000 6000 --range 250 --radios 2 --freqs 1,2,3`."""
+    return generate_scenario(
+        GenSpec(seed, 3000, (6000.0, 6000.0), 250.0, 2, (1, 2, 3), (2.0, 10.0))
+    )
+
+
+@given(scenario=fleets())
+@example(scenario=sweep_fleet(1))
+@example(scenario=sweep_fleet(2))
+@example(scenario=sweep_fleet(3))
+def test_grid_matches_all_pairs(scenario):
+    assert_matches_all_pairs(scenario)
+
+
+def test_pair_rounded_onto_the_range_links():
+    # 512 - (256 - 2**-45) rounds to exactly 256.0, so the pair links, yet
+    # x // 256 puts the two vehicles two cells apart
+    s = Scenario(
+        (600.0, 600.0), 256.0,
+        (
+            make_vehicle(1, 256 - 2**-45, 100, [(1, 1, 1.0)]),
+            make_vehicle(2, 512, 100, [(1, 1, 1.0)]),
+        ),
+    )
+    g = build_link_graph(s)
+    assert g.link_count() == 1
+    assert g.link(1, 2).distance == 256.0
+
+
+@pytest.mark.parametrize(
+    "area, comm_range, positions",
+    [
+        ((1000.0, 1000.0), math.inf, [(0, 0), (1000, 1000), (500, 0), (0, 1000)]),
+        # x / comm_range overflows to inf
+        ((1e300, 1e300), 1e-300, [(1e300, 1e300), (1e300, 1e300), (0, 0), (5e299, 1e300)]),
+    ],
+    ids=["infinite-range", "cell-index-overflow"],
+)
+def test_degenerate_ranges_match_all_pairs(area, comm_range, positions):
+    vehicles = [make_vehicle(vid, x, y, [(1, 1, 1.0)]) for vid, (x, y) in enumerate(positions, 1)]
+    s = Scenario(area, comm_range, tuple(vehicles))
+    assert validate_scenario(s) == []
+    assert_matches_all_pairs(s)
+    assert build_link_graph(s).link(1, 2) is not None
 
 
 @given(seed=st.integers(0, 2**32), radios=st.integers(1, 2))
