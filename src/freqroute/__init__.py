@@ -15,7 +15,7 @@ from .harness import (
     summarize_sweep,
     sweep_csv,
 )
-from .metrics import Metric, PathAccumulator, RouteStats, f_value, route_stats
+from .metrics import Metric, RouteStats, route_stats
 from .model import (
     GenSpec,
     Radio,
@@ -30,15 +30,7 @@ from .model import (
     validate_scenario,
 )
 from .oracle import PathSet, best_route, best_routes_from, enumerate_paths
-from .router import (
-    Hop,
-    Route,
-    SearchNode,
-    astar,
-    expand,
-    route_from_sequence,
-    select_radio_pair,
-)
+from .router import Hop, Route, astar, route_from_sequence
 from .topology import Link, LinkGraph, build_link_graph, euclid, shared_frequency_pairs
 
 __version__ = "0.1.0"
@@ -53,7 +45,6 @@ __all__ = [
     "LinkGraph",
     "Metric",
     "MetricCheck",
-    "PathAccumulator",
     "PathSet",
     "Radio",
     "Route",
@@ -62,7 +53,6 @@ __all__ = [
     "ScenarioError",
     "ScenarioFormatError",
     "ScenarioValidationError",
-    "SearchNode",
     "SweepRow",
     "Vehicle",
     "astar",
@@ -74,8 +64,6 @@ __all__ = [
     "cross_check_batch",
     "enumerate_paths",
     "euclid",
-    "expand",
-    "f_value",
     "generate_scenario",
     "load_scenario",
     "lowest_connected_pair",
@@ -84,7 +72,6 @@ __all__ = [
     "run_sweep",
     "run_sweep_fixed",
     "save_scenario",
-    "select_radio_pair",
     "shared_frequency_pairs",
     "summarize_sweep",
     "sweep_csv",

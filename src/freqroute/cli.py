@@ -11,6 +11,7 @@ from .harness import (
     compare_routes,
     cross_check,
     cross_check_batch,
+    route_csv_fields,
     run_sweep,
     run_sweep_fixed,
     summarize_sweep,
@@ -155,8 +156,8 @@ def cmd_compare(args) -> int:
         for name, route in (("distance", report.distance_route),
                             ("bandwidth", report.bandwidth_route)):
             s = route.stats
-            lines.append(f"{name},true,{s.hops},{s.total_distance:.4f},"
-                         f"{s.avg_bandwidth:.4f},{s.p_value:.4f}")
+            lines.append(f"{name},"
+                         + route_csv_fields(s.hops, s.total_distance, s.avg_bandwidth, s.p_value))
         Path(args.csv).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 

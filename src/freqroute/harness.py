@@ -113,6 +113,22 @@ def _rows_for_query(round_no, seed, scenario, graph, source, dest) -> list[Sweep
     return rows
 
 
+def _check_sweep_args(rounds: int, source: int | None, dest: int | None) -> None:
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if (source is None) != (dest is None):
+        raise ValueError("source and dest must be given together")
+    if source is not None and source == dest:
+        raise ValueError("source and dest must differ in a sweep")
+
+
+def _endpoints(graph: LinkGraph, source: int | None, dest: int | None):
+    """The fixed endpoints if given, else the graph's lowest connected pair, else (None, None)."""
+    if source is not None:
+        return source, dest
+    return lowest_connected_pair(graph) or (None, None)
+
+
 def run_sweep(
     template: GenSpec,
     rounds: int,
@@ -126,21 +142,13 @@ def run_sweep(
     connected pair at all yields found=false rows. Fixed endpoints that do not
     exist in some round raise, since the round count is part of the id space.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if (source is None) != (dest is None):
-        raise ValueError("source and dest must be given together")
-    if source is not None and source == dest:
-        raise ValueError("source and dest must differ in a sweep")
+    _check_sweep_args(rounds, source, dest)
     rows: list[SweepRow] = []
     for r in range(1, rounds + 1):
         seed = base_seed + r
         scenario = generate_scenario(replace(template, seed=seed))
         graph = build_link_graph(scenario)
-        if source is not None:
-            src, dst = source, dest
-        else:
-            src, dst = lowest_connected_pair(graph) or (None, None)
+        src, dst = _endpoints(graph, source, dest)
         rows.extend(_rows_for_query(r, seed, scenario, graph, src, dst))
     return rows
 
@@ -152,21 +160,18 @@ def run_sweep_fixed(
     dest: int | None = None,
 ) -> list[SweepRow]:
     """Sweep rows against one fixed scenario; the seed column records 0."""
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if (source is None) != (dest is None):
-        raise ValueError("source and dest must be given together")
-    if source is not None and source == dest:
-        raise ValueError("source and dest must differ in a sweep")
+    _check_sweep_args(rounds, source, dest)
     graph = build_link_graph(scenario)
-    if source is not None:
-        src, dst = source, dest
-    else:
-        src, dst = lowest_connected_pair(graph) or (None, None)
+    src, dst = _endpoints(graph, source, dest)
     rows: list[SweepRow] = []
     for r in range(1, rounds + 1):
         rows.extend(_rows_for_query(r, 0, scenario, graph, src, dst))
     return rows
+
+
+def route_csv_fields(hops: int, total_distance: float, avg_bandwidth: float, p_value: float) -> str:
+    """A found route's found,hops,total_distance,avg_bandwidth,p_value CSV columns, 4 decimals."""
+    return f"true,{hops},{total_distance:.4f},{avg_bandwidth:.4f},{p_value:.4f}"
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
@@ -178,12 +183,10 @@ def sweep_csv(rows: list[SweepRow]) -> str:
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
         if row.found:
-            lines.append(
-                f"{row.round},{row.seed},{row.metric},true,{row.hops},"
-                f"{row.total_distance:.4f},{row.avg_bandwidth:.4f},{row.p_value:.4f}"
-            )
+            fields = route_csv_fields(row.hops, row.total_distance, row.avg_bandwidth, row.p_value)
         else:
-            lines.append(f"{row.round},{row.seed},{row.metric},false,,,,")
+            fields = "false,,,,"
+        lines.append(f"{row.round},{row.seed},{row.metric},{fields}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,8 +6,6 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .topology import euclid
-
 if TYPE_CHECKING:  # pragma: no cover
     from .router import Route
 
@@ -17,55 +15,6 @@ class Metric(enum.Enum):
 
     DISTANCE = "distance"
     BANDWIDTH = "bandwidth"
-
-
-@dataclass(frozen=True)
-class PathAccumulator:
-    """Running sums along a partial route: meters, kb/s, and edge count.
-
-    One accumulator per frontier entry; extending returns a new instance, the
-    original is never mutated.
-    """
-
-    dist_sum: float = 0.0
-    bw_sum: float = 0.0
-    hop_count: int = 0
-
-    def extend(self, link_distance: float, receiving_bw: float) -> PathAccumulator:
-        """Account for one more hop; the bandwidth is the receiving radio's."""
-        if link_distance < 0:
-            raise ValueError(f"link distance must be >= 0, got {link_distance}")
-        if receiving_bw <= 0:
-            raise ValueError(f"receiving bandwidth must be > 0, got {receiving_bw}")
-        return PathAccumulator(
-            self.dist_sum + link_distance,
-            self.bw_sum + receiving_bw,
-            self.hop_count + 1,
-        )
-
-
-def f_value(
-    metric: Metric,
-    acc: PathAccumulator,
-    current: tuple[float, float],
-    goal: tuple[float, float],
-) -> float:
-    """Frontier-ordering value for a partial route standing at `current`.
-
-    DISTANCE is the classic additive form: distance walked so far plus the
-    straight-line estimate of what remains. BANDWIDTH divides that same length
-    by the bandwidth accumulated over the receiving radios, so routes that pick
-    up fast receivers sort earlier; the start vehicle has no hops yet and is
-    pinned to 0, which only affects the (trivially first) pop of the source.
-    """
-    remaining = euclid(current, goal)
-    if metric is Metric.DISTANCE:
-        return acc.dist_sum + remaining
-    if acc.hop_count == 0:
-        return 0.0
-    if acc.bw_sum <= 0:
-        raise ValueError("bandwidth sum must be positive after the first hop")
-    return (acc.dist_sum + remaining) / acc.bw_sum
 
 
 @dataclass(frozen=True)

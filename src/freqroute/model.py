@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,12 +93,19 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     """Collect every invariant violation; an empty list means the scenario is valid.
 
     Violations are reported as data rather than raised so callers can show all
-    of them at once. Checks: positive area and range, unique vehicle ids,
-    non-empty radio lists with unique per-vehicle radio ids, positive
-    bandwidths, and positions inside the area bounds.
+    of them at once. Checks: finite numbers (each violation names its
+    document field), positive area and range, unique vehicle ids, non-empty
+    radio lists with unique per-vehicle radio ids, positive bandwidths, and
+    positions inside the area bounds. Finite positions and positive finite
+    bandwidths are what keep every link distance, bandwidth sum and ratio
+    finite.
     """
     problems: list[str] = []
     w, h = scenario.area
+    sizes = (("area.width", w), ("area.height", h), ("comm_range", scenario.comm_range))
+    problems += [
+        f"{name} must be finite, got {value}" for name, value in sizes if not math.isfinite(value)
+    ]
     if not (w > 0 and h > 0):
         problems.append(f"area dimensions must be > 0, got {w} x {h}")
     if not scenario.comm_range > 0:
@@ -108,7 +116,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             problems.append(f"duplicate vehicle_id {v.vehicle_id}")
         seen.add(v.vehicle_id)
         x, y = v.position
-        if not (0 <= x <= w and 0 <= y <= h):
+        unbounded = [
+            f"vehicle {v.vehicle_id}: {name} must be finite, got {value}"
+            for name, value in (("x", x), ("y", y))
+            if not math.isfinite(value)
+        ]
+        problems += unbounded
+        if not unbounded and not (0 <= x <= w and 0 <= y <= h):
             problems.append(
                 f"vehicle {v.vehicle_id}: position ({x}, {y}) outside area {w} x {h}"
             )
@@ -119,7 +133,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             if r.radio_id in radio_seen:
                 problems.append(f"vehicle {v.vehicle_id}: duplicate radio_id {r.radio_id}")
             radio_seen.add(r.radio_id)
-            if not r.bandwidth > 0:
+            if not math.isfinite(r.bandwidth):
+                problems.append(
+                    f"vehicle {v.vehicle_id} radio {r.radio_id}: bw must be finite,"
+                    f" got {r.bandwidth}"
+                )
+            elif not r.bandwidth > 0:
                 problems.append(
                     f"vehicle {v.vehicle_id} radio {r.radio_id}: bandwidth must be > 0,"
                     f" got {r.bandwidth}"

@@ -7,7 +7,7 @@ from typing import Callable
 
 from .metrics import Metric
 from .model import Scenario
-from .router import Route, route_from_sequence, select_radio_pair
+from .router import Route, route_from_sequence
 from .topology import LinkGraph
 
 
@@ -21,20 +21,8 @@ class PathSet:
     max_hops: int
 
 
-def edge_cost_table(scenario: Scenario, graph: LinkGraph) -> dict[int, list[tuple[int, float, float]]]:
-    """Per vehicle: (neighbor id, link distance, chosen receiving bandwidth) triples."""
-    table: dict[int, list[tuple[int, float, float]]] = {}
-    for u in graph.vehicle_ids:
-        rows = []
-        for link in graph.neighbors(u):
-            _, bw = select_radio_pair(scenario, link)
-            rows.append((link.to_vehicle, link.distance, bw))
-        table[u] = rows
-    return table
-
-
 def _walk_simple_paths(
-    adj: dict[int, list[tuple[int, float, float]]],
+    graph: LinkGraph,
     source: int,
     max_hops: int,
     visit: Callable[[list[int], float, float], None],
@@ -44,18 +32,20 @@ def _walk_simple_paths(
     Neighbors are taken in ascending id order and shorter prefixes are visited
     before their extensions, so over the whole sweep the paths arrive in
     lexicographic vehicle-sequence order. `visit` receives the live path list
-    (source included) plus the distance and bandwidth sums; copy the list
-    before keeping it.
+    (source included) plus the distance and bandwidth sums, each hop counted
+    with its link's chosen receiving bandwidth; copy the list before keeping it.
     """
     path = [source]
     on_path = {source}
+    neighbors = graph.neighbors
 
     def descend(u: int, dist_sum: float, bw_sum: float) -> None:
-        for w, d, bw in adj[u]:
+        for link in neighbors(u):
+            w = link.to_vehicle
             if w in on_path:
                 continue
-            nd = dist_sum + d
-            nb = bw_sum + bw
+            nd = dist_sum + link.distance
+            nb = bw_sum + link.bandwidth
             path.append(w)
             on_path.add(w)
             visit(path, nd, nb)
@@ -94,7 +84,7 @@ def enumerate_paths(
         if path[-1] == dest:
             sequences.append(tuple(path))
 
-    _walk_simple_paths(edge_cost_table(scenario, graph), source, max_hops, visit)
+    _walk_simple_paths(graph, source, max_hops, visit)
     routes = tuple(route_from_sequence(scenario, graph, seq) for seq in sequences)
     return PathSet(routes, source, dest, max_hops)
 
@@ -135,27 +125,26 @@ def best_routes_from(
     if source not in graph:
         raise ValueError(f"unknown vehicle id: {source}")
 
-    best: dict[int, dict[Metric, tuple[float, tuple[int, ...]]]] = {}
+    # per destination: [shortest distance, its sequence, lowest ratio, its sequence]
+    best: dict[int, list] = {}
 
     def visit(path: list[int], dist_sum: float, bw_sum: float) -> None:
-        slot = best.setdefault(path[-1], {})
-        for metric, cost in (
-            (Metric.DISTANCE, dist_sum),
-            (Metric.BANDWIDTH, dist_sum / bw_sum),
-        ):
-            cur = slot.get(metric)
-            if cur is None or cost < cur[0]:
-                slot[metric] = (cost, tuple(path))
-            elif cost == cur[0]:
-                seq = tuple(path)
-                if seq < cur[1]:
-                    slot[metric] = (cost, seq)
+        ratio = dist_sum / bw_sum
+        slot = best.get(path[-1])
+        if slot is None:
+            seq = tuple(path)
+            best[path[-1]] = [dist_sum, seq, ratio, seq]
+            return
+        if dist_sum < slot[0] or (dist_sum == slot[0] and tuple(path) < slot[1]):
+            slot[0], slot[1] = dist_sum, tuple(path)
+        if ratio < slot[2] or (ratio == slot[2] and tuple(path) < slot[3]):
+            slot[2], slot[3] = ratio, tuple(path)
 
-    _walk_simple_paths(edge_cost_table(scenario, graph), source, max_hops, visit)
+    _walk_simple_paths(graph, source, max_hops, visit)
     return {
         dest: {
-            metric: route_from_sequence(scenario, graph, seq)
-            for metric, (_, seq) in slots.items()
+            Metric.DISTANCE: route_from_sequence(scenario, graph, by_distance),
+            Metric.BANDWIDTH: route_from_sequence(scenario, graph, by_ratio),
         }
-        for dest, slots in best.items()
+        for dest, (_, by_distance, _, by_ratio) in best.items()
     }

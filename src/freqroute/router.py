@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 
-from .metrics import Metric, PathAccumulator, RouteStats, f_value, route_stats
+from .metrics import Metric, RouteStats, route_stats
 from .model import Scenario
-from .topology import Link, LinkGraph
+from .topology import LinkGraph
 
 
 @dataclass(frozen=True)
@@ -40,63 +41,6 @@ class Route:
         return route_stats(self)
 
 
-@dataclass(frozen=True)
-class SearchNode:
-    """A frontier entry: where we stand, the sums behind us, and how we got here."""
-
-    vehicle_id: int
-    acc: PathAccumulator
-    f: float
-    parent: int | None = None
-    radio_pair: tuple[int, int] | None = None  # pair used to enter this vehicle
-
-
-def select_radio_pair(scenario: Scenario, link: Link) -> tuple[tuple[int, int], float]:
-    """Choose which radio pair carries a hop over `link`.
-
-    Highest receiving-side bandwidth wins; ties go to the lowest receiving
-    radio id, then the lowest transmitting id. Returns the (tx, rx) pair and
-    the receiving bandwidth.
-    """
-    receiver = scenario.vehicle(link.to_vehicle)
-    best = None
-    best_key = None
-    for tx, rx in link.radio_pairs:
-        bw = receiver.radio(rx).bandwidth
-        key = (-bw, rx, tx)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = ((tx, rx), bw)
-    if best is None:
-        raise ValueError(f"link {link.from_vehicle}-{link.to_vehicle} has no radio pairs")
-    return best
-
-
-def expand(
-    node: SearchNode,
-    scenario: Scenario,
-    graph: LinkGraph,
-    dest: int,
-    metric: Metric,
-) -> list[SearchNode]:
-    """Children of a just-closed node, one per link-graph neighbor.
-
-    Each child extends the running sums by the link distance and the chosen
-    receiving radio's bandwidth, and carries a freshly computed ordering value.
-    Children come out in ascending vehicle-id order (the neighbor list order);
-    filtering against the closed set is the caller's job.
-    """
-    goal = scenario.vehicle(dest).position
-    children = []
-    for link in graph.neighbors(node.vehicle_id):
-        pair, bw = select_radio_pair(scenario, link)
-        acc = node.acc.extend(link.distance, bw)
-        pos = scenario.vehicle(link.to_vehicle).position
-        f = f_value(metric, acc, pos, goal)
-        children.append(SearchNode(link.to_vehicle, acc, f, node.vehicle_id, pair))
-    return children
-
-
 def astar(
     scenario: Scenario,
     graph: LinkGraph,
@@ -110,6 +54,13 @@ def astar(
     pop the lower vehicle id), close it, expand. Children already closed are
     dropped; children already on the frontier keep whichever state has the
     smaller value, back pointer included. Closed vehicles are never reopened.
+
+    The ordering value of a partial route standing at a vehicle is, under
+    DISTANCE, the distance walked plus the straight-line estimate of what
+    remains. Under BANDWIDTH it is that same length divided by the bandwidth
+    summed over the receiving radios so far, so routes that pick up fast
+    receivers sort earlier. Each hop's radio pair and bandwidth are the ones
+    its link carries (see build_link_graph).
 
     Under DISTANCE the straight-line estimate never overshoots the true
     remaining cost, so the returned route is exactly the shortest. Under
@@ -127,49 +78,54 @@ def astar(
     if source == dest:
         return Route(source, dest, ())
 
-    goal = scenario.vehicle(dest).position
-    start_acc = PathAccumulator()
-    start = SearchNode(
-        source, start_acc, f_value(metric, start_acc, scenario.vehicle(source).position, goal)
-    )
-    best: dict[int, SearchNode] = {source: start}
+    vehicle = scenario.vehicle
+    gx, gy = vehicle(dest).position
+    by_distance = metric is Metric.DISTANCE
+    # per vehicle: (f, dist_sum, bw_sum, link entering it), the link's
+    # from_vehicle being the back pointer; the source pops first whatever its
+    # f, so it needs no estimate
+    best: dict[int, tuple] = {source: (0.0, 0.0, 0.0, None)}
     closed: set[int] = set()
-    frontier: list[tuple[float, int]] = [(start.f, source)]
+    frontier: list[tuple[float, int]] = [(0.0, source)]
     while frontier:
-        f, vid = heapq.heappop(frontier)
+        f, vid = heappop(frontier)
         if vid in closed:
             continue
         node = best[vid]
-        if f != node.f:
+        if f != node[0]:
             continue  # stale heap entry, superseded by a cheaper rediscovery
         closed.add(vid)
         if vid == dest:
-            return _reconstruct(scenario, graph, best, node, source, dest)
-        for child in expand(node, scenario, graph, dest, metric):
-            cvid = child.vehicle_id
-            if cvid in closed:
+            return _reconstruct(best, source, dest)
+        _, dist_sum, bw_sum, _ = node
+        for link in graph.neighbors(vid):
+            w = link.to_vehicle
+            if w in closed:
                 continue
-            known = best.get(cvid)
-            if known is None or child.f < known.f:
-                best[cvid] = child
-                heapq.heappush(frontier, (child.f, cvid))
+            nd = dist_sum + link.distance
+            nb = bw_sum + link.bandwidth
+            x, y = vehicle(w).position
+            remaining = math.hypot(x - gx, y - gy)  # euclid(position, goal)
+            f = nd + remaining if by_distance else (nd + remaining) / nb
+            known = best.get(w)
+            if known is None or f < known[0]:
+                best[w] = (f, nd, nb, link)
+                heappush(frontier, (f, w))
     return None
 
 
-def _reconstruct(scenario, graph, best, node, source, dest) -> Route:
+def _reconstruct(best, source, dest) -> Route:
     hops: list[Hop] = []
-    while node.parent is not None:
-        link = graph.link(node.parent, node.vehicle_id)
-        tx, rx = node.radio_pair
-        bw = scenario.vehicle(node.vehicle_id).radio(rx).bandwidth
-        hops.append(Hop(node.vehicle_id, (tx, rx), link.distance, bw))
-        node = best[node.parent]
+    link = best[dest][3]
+    while link is not None:
+        hops.append(Hop(link.to_vehicle, link.radio_pair, link.distance, link.bandwidth))
+        link = best[link.from_vehicle][3]
     hops.reverse()
     return Route(source, dest, tuple(hops))
 
 
 def route_from_sequence(scenario: Scenario, graph: LinkGraph, sequence) -> Route:
-    """Materialize a route from a vehicle-id sequence using the standard radio choice.
+    """Materialize a route from a vehicle-id sequence, each hop on its link's chosen radio pair.
 
     Raises ValueError if consecutive vehicles are not linked.
     """
@@ -181,6 +137,5 @@ def route_from_sequence(scenario: Scenario, graph: LinkGraph, sequence) -> Route
         link = graph.link(prev, cur)
         if link is None:
             raise ValueError(f"vehicles {prev} and {cur} are not linked")
-        pair, bw = select_radio_pair(scenario, link)
-        hops.append(Hop(cur, pair, link.distance, bw))
+        hops.append(Hop(cur, link.radio_pair, link.distance, link.bandwidth))
     return Route(seq[0], seq[-1], tuple(hops))

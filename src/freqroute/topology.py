@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Scenario, Vehicle
 
@@ -29,14 +29,22 @@ def shared_frequency_pairs(a: Vehicle, b: Vehicle) -> list[tuple[int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class Link:
-    """A usable hop: the two vehicles are in range and share at least one channel."""
+class Link(NamedTuple):
+    """A usable directed hop: in range, sharing a channel, its radio pair already chosen.
+
+    `radio_pairs` lists every (from-side, to-side) radio pair on a shared
+    channel. `radio_pair` is the one a hop over this link uses: the receiving
+    radio with the highest bandwidth, ties to the lowest receiving radio id,
+    then the lowest transmitting id. `bandwidth` is that receiving radio's
+    rating in kb/s.
+    """
 
     from_vehicle: int
     to_vehicle: int
     distance: float
     radio_pairs: tuple[tuple[int, int], ...]  # (from-side radio, to-side radio)
+    radio_pair: tuple[int, int]  # one of radio_pairs
+    bandwidth: float
 
 
 class LinkGraph:
@@ -44,7 +52,9 @@ class LinkGraph:
 
     Neighbor lists are sorted by vehicle id so traversals are reproducible.
     The graph is symmetric: link(a, b) exists iff link(b, a) does, with the
-    same distance and mirrored radio pairs.
+    same distance and mirrored radio pairs. Each direction carries its own
+    radio choice, made for its own receiver, so searches and the oracle read
+    a hop's pair and bandwidth off the link instead of choosing again.
     """
 
     def __init__(self, adjacency: dict[int, list[Link]]):
@@ -124,12 +134,39 @@ def _cell_side(scenario: Scenario) -> float | None:
     return side if side > 0 else None
 
 
+def _receiver_preference(v: Vehicle) -> tuple[tuple[int, float], ...]:
+    """v's (radio id, bandwidth) pairs, best receiver first: highest bandwidth, then lowest id.
+
+    A repeated radio id keeps its first radio's bandwidth, as Vehicle.radio does.
+    """
+    rated: dict[int, float] = {}
+    for r in v.radios:
+        rated.setdefault(r.radio_id, r.bandwidth)
+    return tuple(sorted(rated.items(), key=lambda item: (-item[1], item[0])))
+
+
+def _link_choice(a: Vehicle, b: Vehicle, b_preference) -> tuple:
+    """The radio pairs from a to b, the pair a hop uses, and its receiver's index in b_preference.
+
+    The first receiving radio in b's preference that shares a channel with
+    a wins; among the pairs into it, the lowest transmitting id.
+    """
+    pairs = tuple(shared_frequency_pairs(a, b))
+    for k, (rx, _) in enumerate(b_preference):
+        into = [pair for pair in pairs if pair[1] == rx]
+        if into:
+            return pairs, min(into), k
+    return pairs, None, None
+
+
 def build_link_graph(scenario: Scenario) -> LinkGraph:
     """Derive the link graph from vehicle positions, range, and channel plans.
 
     A link between a and b exists iff euclid(a, b) <= comm_range (equality
     counts as connected) and shared_frequency_pairs(a, b) is non-empty. Every
-    vehicle appears as a vertex even when isolated.
+    vehicle appears as a vertex even when isolated. Each direction's radio
+    pair is chosen here, once: the highest receiving bandwidth, then the
+    lowest receiving radio id, then the lowest transmitting id.
 
     Candidates come from a uniform grid (fixed-radius near-neighbour
     bucketing, Bentley, Stanat & Williams 1977): every pair within range lies
@@ -148,14 +185,19 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
     for i, key in enumerate(keys):
         cells.setdefault(key, []).append(i)
     blocks: dict[tuple[int, int], list[int]] = {}  # cell -> sorted members of its 3x3 block
-    # shared_frequency_pairs reads only radio ids and channels, so vehicles
-    # with the same (id, channel) plan share every result
-    plan_ids: dict[tuple, int] = {}
-    plans = [
-        plan_ids.setdefault(tuple((r.radio_id, r.frequency) for r in v.radios), len(plan_ids))
-        for v in order
+    # a link's pairs depend only on the two (radio id, channel) plans and its
+    # choice only on the receiver's preference order of radio ids, so vehicles
+    # with the same plan and order share every _link_choice result
+    prefs = [_receiver_preference(v) for v in order]
+    profile_ids: dict[tuple, int] = {}
+    profiles = [
+        profile_ids.setdefault(
+            (tuple((r.radio_id, r.frequency) for r in v.radios), tuple(rid for rid, _ in pref)),
+            len(profile_ids),
+        )
+        for v, pref in zip(order, prefs)
     ]
-    memo: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in plan_ids]
+    memo: list[dict[int, tuple]] = [{} for _ in profile_ids]
     reach = scenario.comm_range
     for i, a in enumerate(order):
         key = keys[i]
@@ -165,21 +207,25 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
             block = blocks[key] = sorted(
                 j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for j in cells.get((cx + dx, cy + dy), ())
             )
-        a_id, (ax, ay), a_plan = a.vehicle_id, a.position, plans[i]
-        a_memo, a_links = memo[a_plan], adjacency[a_id]
+        a_id, (ax, ay), a_prof = a.vehicle_id, a.position, profiles[i]
+        a_memo, a_links = memo[a_prof], adjacency[a_id]
         for j in block[bisect_right(block, i):]:
             b = order[j]
             bx, by = b.position
             d = math.hypot(ax - bx, ay - by)  # euclid(a.position, b.position)
             if d > reach:
                 continue
-            b_plan = plans[j]
-            pairs = a_memo.get(b_plan)
-            if pairs is None:
-                pairs = a_memo[b_plan] = tuple(shared_frequency_pairs(a, b))
-                memo[b_plan][a_plan] = tuple(shared_frequency_pairs(b, a))
+            b_prof = profiles[j]
+            ahead = a_memo.get(b_prof)
+            if ahead is None:
+                ahead = a_memo[b_prof] = _link_choice(a, b, prefs[j])
+                memo[b_prof][a_prof] = _link_choice(b, a, prefs[i])
+            pairs, pair, k = ahead
             if pairs:
                 b_id = b.vehicle_id
-                a_links.append(Link(a_id, b_id, d, pairs))
-                adjacency[b_id].append(Link(b_id, a_id, d, memo[b_plan][a_plan]))
+                back_pairs, back_pair, back_k = memo[b_prof][a_prof]
+                a_links.append(Link(a_id, b_id, d, pairs, pair, prefs[j][k][1]))
+                adjacency[b_id].append(
+                    Link(b_id, a_id, d, back_pairs, back_pair, prefs[i][back_k][1])
+                )
     return LinkGraph(adjacency)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from freqroute import Radio, Scenario, Vehicle
+from freqroute import GenSpec, Radio, Scenario, Vehicle, generate_scenario
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -74,3 +74,36 @@ def assert_route_feasible(scenario, graph, route):
         assert hop.bandwidth == rx_radio.bandwidth
         prev = hop.vehicle_id
     assert prev == route.destination
+
+
+def fleet_3000(seed):
+    """A fleet at `freqroute sweep --vehicles 3000 --area 6000 6000 --range 250 --radios 2 --freqs 1,2,3`.
+
+    The benchmark's `sweep-fleet` and `route-fleet` workloads run fleets like
+    this one: mean degree about 12, one giant component.
+    """
+    return generate_scenario(
+        GenSpec(seed, 3000, (6000.0, 6000.0), 250.0, 2, (1, 2, 3), (2.0, 10.0))
+    )
+
+
+def select_radio_pair(scenario, link):
+    """Reference for the per-hop radio choice, computed from `link.radio_pairs` alone.
+
+    Highest receiving-side bandwidth wins; ties go to the lowest receiving
+    radio id, then the lowest transmitting id. Returns the (tx, rx) pair and
+    the receiving bandwidth. This is the rule the search applied on every
+    expansion before build_link_graph stored the choice on each link.
+    """
+    receiver = scenario.vehicle(link.to_vehicle)
+    best = None
+    best_key = None
+    for tx, rx in link.radio_pairs:
+        bw = receiver.radio(rx).bandwidth
+        key = (-bw, rx, tx)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = ((tx, rx), bw)
+    if best is None:
+        raise ValueError(f"link {link.from_vehicle}-{link.to_vehicle} has no radio pairs")
+    return best

@@ -134,6 +134,21 @@ def test_route_rejects_invalid_scenario(tmp_path, capsys):
     assert "bandwidth" in capsys.readouterr().err
 
 
+def test_route_rejects_infinite_numbers(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"area": {"width": Infinity, "height": 100}, "comm_range": 50, "vehicles": ['
+        '{"id": 1, "x": 0, "y": 0, "radios": [{"id": 1, "freq": 1, "bw": 2}]},'
+        '{"id": 2, "x": Infinity, "y": 0, "radios": [{"id": 1, "freq": 1, "bw": 2}]}]}'
+    )
+    assert cli.main(["route", "--scenario", str(bad), "--src", "1", "--dst", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: area.width must be finite, got inf; vehicle 2: x must be finite, got inf\n"
+    )
+
+
 # --- compare ---------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -115,6 +116,56 @@ def test_all_violations_collected():
     )
     problems = validate_scenario(s)
     assert len(problems) >= 4  # range, position, bandwidth, duplicate id, empty radios
+
+
+def finite_doc():
+    return {
+        "area": {"width": 100.0, "height": 100.0},
+        "comm_range": 50.0,
+        "vehicles": [
+            {"id": 1, "x": 0.0, "y": 0.0, "radios": [{"id": 1, "freq": 1, "bw": 2.0}]},
+            {"id": 2, "x": 10.0, "y": 0.0, "radios": [{"id": 1, "freq": 1, "bw": 2.0}]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "path, named",
+    [
+        (("area", "width"), "area.width"),
+        (("area", "height"), "area.height"),
+        (("comm_range",), "comm_range"),
+        (("vehicles", 0, "x"), "vehicle 1: x"),
+        (("vehicles", 1, "y"), "vehicle 2: y"),
+        (("vehicles", 1, "radios", 0, "bw"), "vehicle 2 radio 1: bw"),
+    ],
+    ids=["width", "height", "comm_range", "x", "y", "bw"],
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_number_rejected_naming_field(path, named, value):
+    doc = finite_doc()
+    *parents, leaf = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(json.dumps(doc))  # writes Infinity / -Infinity / NaN
+    assert f"{named} must be finite, got {value}" in exc.value.violations
+
+
+def test_infinite_area_and_position_rejected():
+    # with an infinite area an infinite position is not outside it, yet the
+    # link it makes has a NaN distance; both fields are named
+    doc = finite_doc()
+    doc["area"]["width"] = math.inf
+    doc["vehicles"][1]["x"] = math.inf
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(json.dumps(doc))
+    assert exc.value.violations == [
+        "area.width must be finite, got inf",
+        "vehicle 2: x must be finite, got inf",
+    ]
 
 
 # --- generate_scenario -----------------------------------------------------

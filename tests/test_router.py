@@ -1,19 +1,23 @@
+import heapq
+import random
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from freqroute import (
     GenSpec,
+    Hop,
     Metric,
-    PathAccumulator,
+    Route,
     Scenario,
-    SearchNode,
     astar,
     build_link_graph,
-    expand,
+    euclid,
     generate_scenario,
     route_from_sequence,
-    select_radio_pair,
 )
-from conftest import assert_route_feasible, make_vehicle
+from conftest import assert_route_feasible, fleet_3000, make_vehicle, select_radio_pair
 
 BOTH = (Metric.DISTANCE, Metric.BANDWIDTH)
 
@@ -118,41 +122,48 @@ def test_select_radio_pair_prefers_fast_receiver():
         ),
     )
     g = build_link_graph(s)
-    pair, bw = select_radio_pair(s, g.link(1, 2))
-    assert pair == (1, 2) and bw == 9.0
+    ahead = g.link(1, 2)
+    assert ahead.radio_pair == (1, 2) and ahead.bandwidth == 9.0
     # and in the reverse direction the single receiver is the only choice
-    pair, bw = select_radio_pair(s, g.link(2, 1))
-    assert pair[1] == 1 and bw == 4.0
+    back = g.link(2, 1)
+    assert back.radio_pair[1] == 1 and back.bandwidth == 4.0
+    # a route's hop uses the pair its link carries
+    hop, = astar(s, g, 1, 2, Metric.DISTANCE).hops
+    assert (hop.radio_pair, hop.bandwidth) == ((1, 2), 9.0)
 
 
 def test_select_radio_pair_tie_breaks_on_low_ids():
-    s = Scenario(
-        (100.0, 100.0), 50.0,
-        (
-            make_vehicle(1, 0, 0, [(1, 1, 4.0), (2, 1, 4.0)]),
-            make_vehicle(2, 10, 0, [(3, 1, 6.0), (4, 1, 6.0)]),
-        ),
-    )
-    g = build_link_graph(s)
-    pair, bw = select_radio_pair(s, g.link(1, 2))
-    assert pair == (1, 3) and bw == 6.0
+    # equal bandwidths on both sides: the lowest ids win, whichever order
+    # the radios are listed in
+    for order in (slice(None), slice(None, None, -1)):
+        s = Scenario(
+            (100.0, 100.0), 50.0,
+            (
+                make_vehicle(1, 0, 0, [(1, 1, 4.0), (2, 1, 4.0)][order]),
+                make_vehicle(2, 10, 0, [(3, 1, 6.0), (4, 1, 6.0)][order]),
+            ),
+        )
+        g = build_link_graph(s)
+        assert g.link(1, 2).radio_pair == (1, 3) and g.link(1, 2).bandwidth == 6.0
+        assert g.link(2, 1).radio_pair == (3, 1) and g.link(2, 1).bandwidth == 4.0
 
 
 def test_expand_children(diamond):
+    # from 1 the search reaches 2 and 3, each link entered from 1; the fast
+    # relay's ordering value (158.11 + 158.11) / 10 = 31.62 is below the slow
+    # relay's (150 + 150) / 2 = 150, so the route goes through 3
     g = build_link_graph(diamond)
-    start = SearchNode(1, PathAccumulator(), 0.0)
-    children = expand(start, diamond, g, 4, Metric.BANDWIDTH)
-    assert [c.vehicle_id for c in children] == [2, 3]
-    assert abs(children[0].f - 150.0) <= 1e-4
-    assert abs(children[1].f - 31.6228) <= 1e-4
-    assert all(c.parent == 1 for c in children)
+    assert [(l.from_vehicle, l.to_vehicle) for l in g.neighbors(1)] == [(1, 2), (1, 3)]
+    r = astar(diamond, g, 1, 4, Metric.BANDWIDTH)
+    leg = 158.11388300841898
+    assert r.hops == (Hop(3, (1, 1), leg, 10.0), Hop(4, (1, 1), leg, 10.0))
 
 
 def test_expand_single_neighbor(bridge):
     g = build_link_graph(bridge)
-    start = SearchNode(1, PathAccumulator(), 0.0)
-    children = expand(start, bridge, g, 2, Metric.DISTANCE)
-    assert [c.vehicle_id for c in children] == [3]
+    assert [l.to_vehicle for l in g.neighbors(1)] == [3]
+    for metric in BOTH:
+        assert astar(bridge, g, 1, 3, metric).hops == (Hop(3, (2, 6), 150.0, 4.0),)
 
 
 def test_expand_isolated_vertex():
@@ -161,8 +172,9 @@ def test_expand_isolated_vertex():
         (make_vehicle(1, 0, 0, [(1, 1, 1.0)]), make_vehicle(2, 400, 400, [(1, 1, 1.0)])),
     )
     g = build_link_graph(s)
-    start = SearchNode(1, PathAccumulator(), 0.0)
-    assert expand(start, s, g, 2, Metric.DISTANCE) == []
+    assert g.neighbors(1) == ()
+    for metric in BOTH:
+        assert astar(s, g, 1, 2, metric) is None
 
 
 def test_routes_on_random_scenarios_are_feasible():
@@ -195,3 +207,141 @@ def test_route_from_sequence_rejects_unlinked(bridge):
         route_from_sequence(bridge, g, (1, 2))
     with pytest.raises(ValueError):
         route_from_sequence(bridge, g, ())
+
+
+# --- differential check against the search that chose radios per expansion ---
+
+
+@dataclass(frozen=True)
+class PathAccumulator:
+    dist_sum: float = 0.0
+    bw_sum: float = 0.0
+    hop_count: int = 0
+
+    def extend(self, link_distance, receiving_bw):
+        return PathAccumulator(
+            self.dist_sum + link_distance, self.bw_sum + receiving_bw, self.hop_count + 1
+        )
+
+
+def f_value(metric, acc, current, goal):
+    remaining = euclid(current, goal)
+    if metric is Metric.DISTANCE:
+        return acc.dist_sum + remaining
+    if acc.hop_count == 0:
+        return 0.0
+    return (acc.dist_sum + remaining) / acc.bw_sum
+
+
+@dataclass(frozen=True)
+class SearchNode:
+    vehicle_id: int
+    acc: PathAccumulator
+    f: float
+    parent: int | None = None
+    radio_pair: tuple[int, int] | None = None
+
+
+def expand(node, scenario, graph, dest, metric):
+    goal = scenario.vehicle(dest).position
+    children = []
+    for link in graph.neighbors(node.vehicle_id):
+        pair, bw = select_radio_pair(scenario, link)
+        acc = node.acc.extend(link.distance, bw)
+        pos = scenario.vehicle(link.to_vehicle).position
+        f = f_value(metric, acc, pos, goal)
+        children.append(SearchNode(link.to_vehicle, acc, f, node.vehicle_id, pair))
+    return children
+
+
+def reference_astar(scenario, graph, source, dest, metric):
+    """The search as it ran before links carried their radio choice.
+
+    Per expansion it picks each link's radio pair from the link's radio_pairs
+    (select_radio_pair), extends an accumulator object, and computes the
+    ordering value through the metric's formula; hops are rebuilt from the
+    graph and the receiving radio.
+    """
+    if source == dest:
+        return Route(source, dest, ())
+    goal = scenario.vehicle(dest).position
+    start_acc = PathAccumulator()
+    start = SearchNode(
+        source, start_acc, f_value(metric, start_acc, scenario.vehicle(source).position, goal)
+    )
+    best = {source: start}
+    closed = set()
+    frontier = [(start.f, source)]
+    while frontier:
+        f, vid = heapq.heappop(frontier)
+        if vid in closed:
+            continue
+        node = best[vid]
+        if f != node.f:
+            continue
+        closed.add(vid)
+        if vid == dest:
+            hops = []
+            while node.parent is not None:
+                link = graph.link(node.parent, node.vehicle_id)
+                tx, rx = node.radio_pair
+                bw = scenario.vehicle(node.vehicle_id).radio(rx).bandwidth
+                hops.append(Hop(node.vehicle_id, (tx, rx), link.distance, bw))
+                node = best[node.parent]
+            return Route(source, dest, tuple(reversed(hops)))
+        for child in expand(node, scenario, graph, dest, metric):
+            if child.vehicle_id in closed:
+                continue
+            known = best.get(child.vehicle_id)
+            if known is None or child.f < known.f:
+                best[child.vehicle_id] = child
+                heapq.heappush(frontier, (child.f, child.vehicle_id))
+    return None
+
+
+@st.composite
+def tie_fleets(draw):
+    """Fleets built for ties: positions on a coarse lattice, few bandwidth values.
+
+    Lattice spacing 50 m and ranges of one to three spacings make many equal
+    link lengths and equal ordering values; 1-3 radios over 1-3 channels with
+    radio ids out of ascending order make the radio choice tie on bandwidth.
+    """
+    side = draw(st.integers(1, 8))
+    points = draw(
+        st.lists(st.tuples(st.integers(0, side), st.integers(0, side)), min_size=2, max_size=30)
+    )
+    ids = draw(st.permutations(range(1, len(points) + 1)))
+    reach = draw(st.sampled_from([50.0, 75.0, 100.0, 150.0]))
+    channels = draw(st.integers(1, 3))
+    rates = draw(st.sampled_from([(5.0,), (2.0, 8.0), (2.0, 4.0, 8.0)]))
+    plan = st.lists(
+        st.tuples(st.integers(1, channels), st.sampled_from(rates)), min_size=1, max_size=3
+    )
+    radio_ids = st.permutations(range(1, 4))
+    vehicles = [
+        make_vehicle(
+            vid, 50 * x, 50 * y,
+            [(rid, f, bw) for rid, (f, bw) in zip(draw(radio_ids), draw(plan))],
+        )
+        for vid, (x, y) in zip(ids, points)
+    ]
+    return Scenario((50.0 * side, 50.0 * side), reach, tuple(vehicles))
+
+
+@given(scenario=tie_fleets(), query_seed=st.integers(0, 2**16))
+@example(scenario=fleet_3000(1), query_seed=1)
+@example(scenario=fleet_3000(4242), query_seed=2)
+@example(scenario=fleet_3000(7), query_seed=3)
+def test_search_matches_reference_search(scenario, query_seed):
+    # Route equality covers the vehicle sequence and, hop by hop, the radio
+    # pair, the distance and the bandwidth, bit for bit; None must match None
+    g = build_link_graph(scenario)
+    rng = random.Random(query_seed)
+    ids = sorted(g.vehicle_ids)
+    for _ in range(24):
+        source, dest = rng.choice(ids), rng.choice(ids)
+        for metric in BOTH:
+            assert astar(scenario, g, source, dest, metric) == reference_astar(
+                scenario, g, source, dest, metric
+            )

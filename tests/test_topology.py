@@ -13,7 +13,7 @@ from freqroute import (
 )
 from freqroute.model import GenSpec
 from freqroute.topology import Link, LinkGraph
-from conftest import make_vehicle
+from conftest import fleet_3000, make_vehicle, select_radio_pair
 
 
 def test_euclid_345():
@@ -172,7 +172,11 @@ def test_brute_force_equivalence():
 
 
 def all_pairs_link_graph(scenario):
-    """The quadratic builder the grid replaced: every pair tested, in id order."""
+    """The quadratic builder the grid replaced: every pair tested, in id order.
+
+    Each direction's radio pair comes from the reference per-hop rule,
+    select_radio_pair, applied to that direction's radio pairs.
+    """
     order = sorted(scenario.vehicles, key=lambda v: v.vehicle_id)
     adjacency = {v.vehicle_id: [] for v in order}
     for i, a in enumerate(order):
@@ -180,15 +184,14 @@ def all_pairs_link_graph(scenario):
             d = euclid(a.position, b.position)
             if d > scenario.comm_range:
                 continue
-            pairs = shared_frequency_pairs(a, b)
-            if not pairs:
+            if not shared_frequency_pairs(a, b):
                 continue
-            adjacency[a.vehicle_id].append(
-                Link(a.vehicle_id, b.vehicle_id, d, tuple(pairs))
-            )
-            adjacency[b.vehicle_id].append(
-                Link(b.vehicle_id, a.vehicle_id, d, tuple(shared_frequency_pairs(b, a)))
-            )
+            for u, v in ((a, b), (b, a)):
+                unchosen = Link(
+                    u.vehicle_id, v.vehicle_id, d, tuple(shared_frequency_pairs(u, v)), None, None
+                )
+                pair, bw = select_radio_pair(scenario, unchosen)
+                adjacency[u.vehicle_id].append(unchosen._replace(radio_pair=pair, bandwidth=bw))
     return LinkGraph(adjacency)
 
 
@@ -205,7 +208,9 @@ def fleets(draw):
 
     Thin strips, ranges that cover the whole area, coordinates on multiples
     of the range and one ulp either side of them, repeated positions, and
-    1-3 radios over 1-3 channels.
+    1-3 radios over 1-3 channels. Radio ids are listed out of ascending
+    order and bandwidths take two values, so the radio choice often ties
+    on bandwidth and must then go by id, not by list position.
     """
     width, height = draw(st.sampled_from([(500.0, 500.0), (5000.0, 50.0), (50.0, 5000.0)]))
     reach = draw(
@@ -225,25 +230,21 @@ def fleets(draw):
     points += draw(st.lists(st.sampled_from(points), max_size=5))
     ids = draw(st.permutations(range(1, len(points) + 1)))
     channels = draw(st.integers(1, 3))
-    plan = st.lists(st.integers(1, channels), min_size=1, max_size=3)
+    plan = st.lists(
+        st.tuples(st.integers(1, channels), st.sampled_from([5.0, 9.0])), min_size=1, max_size=3
+    )
+    radio_ids = st.permutations(range(1, 4))
     vehicles = [
-        make_vehicle(vid, x, y, [(rid, f, 5.0) for rid, f in enumerate(draw(plan), 1)])
+        make_vehicle(vid, x, y, [(rid, f, bw) for rid, (f, bw) in zip(draw(radio_ids), draw(plan))])
         for vid, (x, y) in zip(ids, points)
     ]
     return Scenario((width, height), reach, tuple(vehicles))
 
 
-def sweep_fleet(seed):
-    """A fleet at `freqroute sweep --vehicles 3000 --area 6000 6000 --range 250 --radios 2 --freqs 1,2,3`."""
-    return generate_scenario(
-        GenSpec(seed, 3000, (6000.0, 6000.0), 250.0, 2, (1, 2, 3), (2.0, 10.0))
-    )
-
-
 @given(scenario=fleets())
-@example(scenario=sweep_fleet(1))
-@example(scenario=sweep_fleet(2))
-@example(scenario=sweep_fleet(3))
+@example(scenario=fleet_3000(1))
+@example(scenario=fleet_3000(2))
+@example(scenario=fleet_3000(3))
 def test_grid_matches_all_pairs(scenario):
     assert_matches_all_pairs(scenario)
 
@@ -275,7 +276,10 @@ def test_pair_rounded_onto_the_range_links():
 def test_degenerate_ranges_match_all_pairs(area, comm_range, positions):
     vehicles = [make_vehicle(vid, x, y, [(1, 1, 1.0)]) for vid, (x, y) in enumerate(positions, 1)]
     s = Scenario(area, comm_range, tuple(vehicles))
-    assert validate_scenario(s) == []
+    # an infinite range no longer loads, but a Scenario built in code can
+    # still carry one, and the builder must still link every pair
+    expected = [] if math.isfinite(comm_range) else ["comm_range must be finite, got inf"]
+    assert validate_scenario(s) == expected
     assert_matches_all_pairs(s)
     assert build_link_graph(s).link(1, 2) is not None
 
