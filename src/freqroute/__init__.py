@@ -31,7 +31,7 @@ from .model import (
 )
 from .oracle import PathSet, best_route, best_routes_from, enumerate_paths
 from .router import Hop, Route, astar, route_from_sequence
-from .topology import Link, LinkGraph, build_link_graph, euclid, shared_frequency_pairs
+from .topology import Link, LinkGraph, build_link_graph, euclid
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "run_sweep",
     "run_sweep_fixed",
     "save_scenario",
-    "shared_frequency_pairs",
     "summarize_sweep",
     "sweep_csv",
     "validate_scenario",

@@ -69,6 +69,9 @@ class CompareReport:
 def compare_routes(
     scenario: Scenario, graph: LinkGraph, source: int, dest: int
 ) -> CompareReport:
+    """Route source to dest under both metrics; equal endpoints have no hops to compare."""
+    if source == dest:
+        raise ValueError("source and dest must differ in a comparison")
     return CompareReport(
         source,
         dest,
@@ -277,7 +280,7 @@ def cross_check(
     max_hops = max(1, n - 1)
     report = CrossCheckReport(scenarios=1, connected_pairs=0)
     for source in sorted(graph.vehicle_ids):
-        optima = best_routes_from(scenario, graph, source, max_hops)
+        optima = best_routes_from(graph, source, max_hops)
         for dest in sorted(optima):
             report.connected_pairs += 1
             for metric, check in (

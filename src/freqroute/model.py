@@ -89,6 +89,15 @@ class Scenario:
         return tuple(v.vehicle_id for v in self.vehicles)
 
 
+def _size_problem(name: str, value: float) -> str | None:
+    """Why `value` cannot be the size named `name` (it is not finite, or not > 0), else None."""
+    if not math.isfinite(value):
+        return f"{name} must be finite, got {value}"
+    if not value > 0:
+        return f"{name} must be > 0, got {value}"
+    return None
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Collect every invariant violation; an empty list means the scenario is valid.
 
@@ -103,13 +112,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     problems: list[str] = []
     w, h = scenario.area
     sizes = (("area.width", w), ("area.height", h), ("comm_range", scenario.comm_range))
-    problems += [
-        f"{name} must be finite, got {value}" for name, value in sizes if not math.isfinite(value)
-    ]
-    if not (w > 0 and h > 0):
-        problems.append(f"area dimensions must be > 0, got {w} x {h}")
-    if not scenario.comm_range > 0:
-        problems.append(f"comm_range must be > 0, got {scenario.comm_range}")
+    problems += filter(None, (_size_problem(name, value) for name, value in sizes))
     seen: set[int] = set()
     for v in scenario.vehicles:
         if v.vehicle_id in seen:
@@ -171,14 +174,15 @@ def _check_genspec(spec: GenSpec) -> None:
         raise ValueError(f"radios_per_vehicle must be >= 1, got {spec.radios_per_vehicle}")
     if not spec.frequency_pool:
         raise ValueError("frequency_pool must not be empty")
-    w, h = spec.area
-    if not (w > 0 and h > 0):
-        raise ValueError(f"area dimensions must be > 0, got {w} x {h}")
-    if not spec.comm_range > 0:
-        raise ValueError(f"comm_range must be > 0, got {spec.comm_range}")
-    lo, hi = spec.bandwidth_range
-    if not (0 < lo <= hi):
-        raise ValueError(f"bandwidth_range must satisfy 0 < min <= max, got ({lo}, {hi})")
+    (w, h), (lo, hi) = spec.area, spec.bandwidth_range
+    sizes = (("area.width", w), ("area.height", h), ("comm_range", spec.comm_range),
+             ("bandwidth_range.min", lo), ("bandwidth_range.max", hi))
+    for name, value in sizes:
+        problem = _size_problem(name, value)
+        if problem:
+            raise ValueError(problem)
+    if lo > hi:
+        raise ValueError(f"bandwidth_range must satisfy min <= max, got ({lo}, {hi})")
 
 
 def generate_scenario(spec: GenSpec) -> Scenario:

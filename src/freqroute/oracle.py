@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .metrics import Metric
-from .model import Scenario
 from .router import Route, route_from_sequence
 from .topology import LinkGraph
 
@@ -58,7 +57,6 @@ def _walk_simple_paths(
 
 
 def enumerate_paths(
-    scenario: Scenario,
     graph: LinkGraph,
     source: int,
     dest: int,
@@ -85,7 +83,7 @@ def enumerate_paths(
             sequences.append(tuple(path))
 
     _walk_simple_paths(graph, source, max_hops, visit)
-    routes = tuple(route_from_sequence(scenario, graph, seq) for seq in sequences)
+    routes = tuple(route_from_sequence(graph, seq) for seq in sequences)
     return PathSet(routes, source, dest, max_hops)
 
 
@@ -108,7 +106,6 @@ def best_route(paths: PathSet, metric: Metric) -> Route | None:
 
 
 def best_routes_from(
-    scenario: Scenario,
     graph: LinkGraph,
     source: int,
     max_hops: int,
@@ -143,8 +140,8 @@ def best_routes_from(
     _walk_simple_paths(graph, source, max_hops, visit)
     return {
         dest: {
-            Metric.DISTANCE: route_from_sequence(scenario, graph, by_distance),
-            Metric.BANDWIDTH: route_from_sequence(scenario, graph, by_ratio),
+            Metric.DISTANCE: route_from_sequence(graph, by_distance),
+            Metric.BANDWIDTH: route_from_sequence(graph, by_ratio),
         }
         for dest, (_, by_distance, _, by_ratio) in best.items()
     }

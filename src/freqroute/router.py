@@ -81,10 +81,11 @@ def astar(
     vehicle = scenario.vehicle
     gx, gy = vehicle(dest).position
     by_distance = metric is Metric.DISTANCE
-    # per vehicle: (f, dist_sum, bw_sum, link entering it), the link's
-    # from_vehicle being the back pointer; the source pops first whatever its
-    # f, so it needs no estimate
-    best: dict[int, tuple] = {source: (0.0, 0.0, 0.0, None)}
+    # per vehicle: (f, dist_sum, bw_sum, link entering it, straight-line
+    # estimate to dest), the link's from_vehicle being the back pointer; the
+    # source pops first whatever its f and is closed before any child could
+    # reach it, so it needs no estimate
+    best: dict[int, tuple] = {source: (0.0, 0.0, 0.0, None, None)}
     closed: set[int] = set()
     frontier: list[tuple[float, int]] = [(0.0, source)]
     while frontier:
@@ -97,19 +98,22 @@ def astar(
         closed.add(vid)
         if vid == dest:
             return _reconstruct(best, source, dest)
-        _, dist_sum, bw_sum, _ = node
+        dist_sum, bw_sum = node[1], node[2]
         for link in graph.neighbors(vid):
             w = link.to_vehicle
             if w in closed:
                 continue
+            known = best.get(w)
+            if known is None:
+                x, y = vehicle(w).position
+                remaining = math.hypot(x - gx, y - gy)  # euclid(position, goal)
+            else:
+                remaining = known[4]
             nd = dist_sum + link.distance
             nb = bw_sum + link.bandwidth
-            x, y = vehicle(w).position
-            remaining = math.hypot(x - gx, y - gy)  # euclid(position, goal)
             f = nd + remaining if by_distance else (nd + remaining) / nb
-            known = best.get(w)
             if known is None or f < known[0]:
-                best[w] = (f, nd, nb, link)
+                best[w] = (f, nd, nb, link, remaining)
                 heappush(frontier, (f, w))
     return None
 
@@ -124,7 +128,7 @@ def _reconstruct(best, source, dest) -> Route:
     return Route(source, dest, tuple(hops))
 
 
-def route_from_sequence(scenario: Scenario, graph: LinkGraph, sequence) -> Route:
+def route_from_sequence(graph: LinkGraph, sequence) -> Route:
     """Materialize a route from a vehicle-id sequence, each hop on its link's chosen radio pair.
 
     Raises ValueError if consecutive vehicles are not linked.

@@ -7,7 +7,7 @@ from bisect import bisect_right
 from collections import deque
 from typing import NamedTuple
 
-from .model import Scenario, Vehicle
+from .model import Radio, Scenario, Vehicle
 
 
 def euclid(p: tuple[float, float], q: tuple[float, float]) -> float:
@@ -15,35 +15,20 @@ def euclid(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def shared_frequency_pairs(a: Vehicle, b: Vehicle) -> list[tuple[int, int]]:
-    """All (a-radio, b-radio) id pairs tuned to the same channel.
-
-    Ordered by a's radio list then b's. An empty result means these two
-    vehicles cannot link no matter how close they are.
-    """
-    return [
-        (ra.radio_id, rb.radio_id)
-        for ra in a.radios
-        for rb in b.radios
-        if ra.frequency == rb.frequency
-    ]
-
-
 class Link(NamedTuple):
     """A usable directed hop: in range, sharing a channel, its radio pair already chosen.
 
-    `radio_pairs` lists every (from-side, to-side) radio pair on a shared
-    channel. `radio_pair` is the one a hop over this link uses: the receiving
-    radio with the highest bandwidth, ties to the lowest receiving radio id,
-    then the lowest transmitting id. `bandwidth` is that receiving radio's
-    rating in kb/s.
+    `radio_pair` is the (from-side, to-side) radio pair a hop over this link
+    uses: the receiving radio with the highest bandwidth among those on a
+    channel the sender also has, ties to the lowest receiving radio id, then
+    the sender's lowest radio id on that channel. `bandwidth` is that
+    receiving radio's rating in kb/s.
     """
 
     from_vehicle: int
     to_vehicle: int
     distance: float
-    radio_pairs: tuple[tuple[int, int], ...]  # (from-side radio, to-side radio)
-    radio_pair: tuple[int, int]  # one of radio_pairs
+    radio_pair: tuple[int, int]  # (from-side radio, to-side radio), same channel
     bandwidth: float
 
 
@@ -52,9 +37,9 @@ class LinkGraph:
 
     Neighbor lists are sorted by vehicle id so traversals are reproducible.
     The graph is symmetric: link(a, b) exists iff link(b, a) does, with the
-    same distance and mirrored radio pairs. Each direction carries its own
-    radio choice, made for its own receiver, so searches and the oracle read
-    a hop's pair and bandwidth off the link instead of choosing again.
+    same distance. Each direction carries its own radio choice, made for its
+    own receiver, so searches and the oracle read a hop's pair and bandwidth
+    off the link instead of choosing again.
     """
 
     def __init__(self, adjacency: dict[int, list[Link]]):
@@ -134,39 +119,33 @@ def _cell_side(scenario: Scenario) -> float | None:
     return side if side > 0 else None
 
 
-def _receiver_preference(v: Vehicle) -> tuple[tuple[int, float], ...]:
-    """v's (radio id, bandwidth) pairs, best receiver first: highest bandwidth, then lowest id.
+def _ranked_radios(v: Vehicle) -> tuple[Radio, ...]:
+    """v's radios, best receiver first: highest bandwidth, then lowest radio id."""
+    return tuple(sorted(v.radios, key=lambda r: (-r.bandwidth, r.radio_id)))
 
-    A repeated radio id keeps its first radio's bandwidth, as Vehicle.radio does.
+
+def _hop_choice(a_plan, b_plan) -> tuple:
+    """The radio pair of a hop from a to b and its receiver's rank in b_plan, or (None, None).
+
+    Plans are (channel, radio id) tuples in ranked order. b receives on its
+    first-ranked radio whose channel a also has; a sends from its lowest
+    radio id on that channel.
     """
-    rated: dict[int, float] = {}
-    for r in v.radios:
-        rated.setdefault(r.radio_id, r.bandwidth)
-    return tuple(sorted(rated.items(), key=lambda item: (-item[1], item[0])))
-
-
-def _link_choice(a: Vehicle, b: Vehicle, b_preference) -> tuple:
-    """The radio pairs from a to b, the pair a hop uses, and its receiver's index in b_preference.
-
-    The first receiving radio in b's preference that shares a channel with
-    a wins; among the pairs into it, the lowest transmitting id.
-    """
-    pairs = tuple(shared_frequency_pairs(a, b))
-    for k, (rx, _) in enumerate(b_preference):
-        into = [pair for pair in pairs if pair[1] == rx]
-        if into:
-            return pairs, min(into), k
-    return pairs, None, None
+    for k, (channel, rx) in enumerate(b_plan):
+        senders = [tx for ch, tx in a_plan if ch == channel]
+        if senders:
+            return (min(senders), rx), k
+    return None, None
 
 
 def build_link_graph(scenario: Scenario) -> LinkGraph:
     """Derive the link graph from vehicle positions, range, and channel plans.
 
     A link between a and b exists iff euclid(a, b) <= comm_range (equality
-    counts as connected) and shared_frequency_pairs(a, b) is non-empty. Every
-    vehicle appears as a vertex even when isolated. Each direction's radio
-    pair is chosen here, once: the highest receiving bandwidth, then the
-    lowest receiving radio id, then the lowest transmitting id.
+    counts as connected) and the two share a channel. Every vehicle appears
+    as a vertex even when isolated. Each direction's radio pair is chosen
+    here, once, from the receiver's radios ranked by bandwidth then id (see
+    Link).
 
     Candidates come from a uniform grid (fixed-radius near-neighbour
     bucketing, Bentley, Stanat & Williams 1977): every pair within range lies
@@ -185,19 +164,17 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
     for i, key in enumerate(keys):
         cells.setdefault(key, []).append(i)
     blocks: dict[tuple[int, int], list[int]] = {}  # cell -> sorted members of its 3x3 block
-    # a link's pairs depend only on the two (radio id, channel) plans and its
-    # choice only on the receiver's preference order of radio ids, so vehicles
-    # with the same plan and order share every _link_choice result
-    prefs = [_receiver_preference(v) for v in order]
-    profile_ids: dict[tuple, int] = {}
-    profiles = [
-        profile_ids.setdefault(
-            (tuple((r.radio_id, r.frequency) for r in v.radios), tuple(rid for rid, _ in pref)),
-            len(profile_ids),
-        )
-        for v, pref in zip(order, prefs)
+    # a hop's radio pair and receiver rank depend only on the two ranked
+    # (channel, radio id) plans, so vehicles with the same plan share every
+    # _hop_choice result; the bandwidth is read off the receiver's own radios
+    ranked = [_ranked_radios(v) for v in order]
+    numbered: dict[tuple, int] = {}  # ranked (channel, radio id) plan -> its number
+    plan_nos = [
+        numbered.setdefault(tuple((r.frequency, r.radio_id) for r in radios), len(numbered))
+        for radios in ranked
     ]
-    memo: list[dict[int, tuple]] = [{} for _ in profile_ids]
+    plans = list(numbered)  # plan number -> plan
+    memo: list[dict[int, tuple]] = [{} for _ in plans]
     reach = scenario.comm_range
     for i, a in enumerate(order):
         key = keys[i]
@@ -207,25 +184,23 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
             block = blocks[key] = sorted(
                 j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for j in cells.get((cx + dx, cy + dy), ())
             )
-        a_id, (ax, ay), a_prof = a.vehicle_id, a.position, profiles[i]
-        a_memo, a_links = memo[a_prof], adjacency[a_id]
+        a_id, (ax, ay), a_no = a.vehicle_id, a.position, plan_nos[i]
+        a_memo, a_links = memo[a_no], adjacency[a_id]
         for j in block[bisect_right(block, i):]:
             b = order[j]
             bx, by = b.position
             d = math.hypot(ax - bx, ay - by)  # euclid(a.position, b.position)
             if d > reach:
                 continue
-            b_prof = profiles[j]
-            ahead = a_memo.get(b_prof)
+            b_no = plan_nos[j]
+            ahead = a_memo.get(b_no)
             if ahead is None:
-                ahead = a_memo[b_prof] = _link_choice(a, b, prefs[j])
-                memo[b_prof][a_prof] = _link_choice(b, a, prefs[i])
-            pairs, pair, k = ahead
-            if pairs:
+                ahead = a_memo[b_no] = _hop_choice(plans[a_no], plans[b_no])
+                memo[b_no][a_no] = _hop_choice(plans[b_no], plans[a_no])
+            pair, k = ahead
+            if pair is not None:
                 b_id = b.vehicle_id
-                back_pairs, back_pair, back_k = memo[b_prof][a_prof]
-                a_links.append(Link(a_id, b_id, d, pairs, pair, prefs[j][k][1]))
-                adjacency[b_id].append(
-                    Link(b_id, a_id, d, back_pairs, back_pair, prefs[i][back_k][1])
-                )
+                back_pair, back_k = memo[b_no][a_no]
+                a_links.append(Link(a_id, b_id, d, pair, ranked[j][k].bandwidth))
+                adjacency[b_id].append(Link(b_id, a_id, d, back_pair, ranked[i][back_k].bandwidth))
     return LinkGraph(adjacency)

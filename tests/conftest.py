@@ -76,34 +76,55 @@ def assert_route_feasible(scenario, graph, route):
     assert prev == route.destination
 
 
-def fleet_3000(seed):
+def fleet_3000(seed, radios=2, channels=3):
     """A fleet at `freqroute sweep --vehicles 3000 --area 6000 6000 --range 250 --radios 2 --freqs 1,2,3`.
 
     The benchmark's `sweep-fleet` and `route-fleet` workloads run fleets like
-    this one: mean degree about 12, one giant component.
+    this one: mean degree about 12, one giant component. `radios` and
+    `channels` (the pool is 1..channels) change the radio plans only.
     """
     return generate_scenario(
-        GenSpec(seed, 3000, (6000.0, 6000.0), 250.0, 2, (1, 2, 3), (2.0, 10.0))
+        GenSpec(
+            seed, 3000, (6000.0, 6000.0), 250.0, radios,
+            tuple(range(1, channels + 1)), (2.0, 10.0),
+        )
     )
 
 
-def select_radio_pair(scenario, link):
-    """Reference for the per-hop radio choice, computed from `link.radio_pairs` alone.
+def shared_frequency_pairs(a, b):
+    """All (a-radio, b-radio) id pairs tuned to the same channel.
 
-    Highest receiving-side bandwidth wins; ties go to the lowest receiving
-    radio id, then the lowest transmitting id. Returns the (tx, rx) pair and
-    the receiving bandwidth. This is the rule the search applied on every
-    expansion before build_link_graph stored the choice on each link.
+    Ordered by a's radio list then b's. An empty result means these two
+    vehicles cannot link no matter how close they are.
     """
+    return [
+        (ra.radio_id, rb.radio_id)
+        for ra in a.radios
+        for rb in b.radios
+        if ra.frequency == rb.frequency
+    ]
+
+
+def select_radio_pair(scenario, link):
+    """Reference for the per-hop radio choice, from the two vehicles' radio pairs alone.
+
+    Lists every shared-channel pair from the link's sending vehicle to its
+    receiving one; the highest receiving-side bandwidth wins, ties go to the
+    lowest receiving radio id, then the lowest transmitting id. Returns the
+    (tx, rx) pair and the receiving bandwidth. This is the rule the search
+    applied on every expansion before build_link_graph stored the choice on
+    each link.
+    """
+    sender = scenario.vehicle(link.from_vehicle)
     receiver = scenario.vehicle(link.to_vehicle)
     best = None
     best_key = None
-    for tx, rx in link.radio_pairs:
+    for tx, rx in shared_frequency_pairs(sender, receiver):
         bw = receiver.radio(rx).bandwidth
         key = (-bw, rx, tx)
         if best_key is None or key < best_key:
             best_key = key
             best = ((tx, rx), bw)
     if best is None:
-        raise ValueError(f"link {link.from_vehicle}-{link.to_vehicle} has no radio pairs")
+        raise ValueError(f"vehicles {link.from_vehicle} and {link.to_vehicle} share no channel")
     return best

@@ -175,7 +175,7 @@ def test_criterion_4_sweep_bandwidth_ordering(tmp_path, capsys):
                             bandwidth_range=(2.0, 10.0)))
                 graph = build_link_graph(scenario)
                 src, dst = lowest_connected_pair(graph)
-                optima = best_routes_from(scenario, graph, src, len(scenario.vehicles) - 1)
+                optima = best_routes_from(graph, src, len(scenario.vehicles) - 1)
                 routes = {m: astar(scenario, graph, src, dst, m)
                           for m in (Metric.DISTANCE, Metric.BANDWIDTH)}
                 certified = (
@@ -302,8 +302,8 @@ def test_criterion_6_property_bundle(k4):
                 for v in s.vehicles))
             g, sg = build_link_graph(s), build_link_graph(scaled)
             for source in g.vehicle_ids:
-                plain = best_routes_from(s, g, source, len(s.vehicles) - 1)
-                boosted = best_routes_from(scaled, sg, source, len(s.vehicles) - 1)
+                plain = best_routes_from(g, source, len(s.vehicles) - 1)
+                boosted = best_routes_from(sg, source, len(s.vehicles) - 1)
                 assert plain.keys() == boosted.keys()
                 for dest in plain:
                     assert (plain[dest][Metric.BANDWIDTH].vehicle_sequence
@@ -313,7 +313,7 @@ def test_criterion_6_property_bundle(k4):
         from freqroute import enumerate_paths
 
         kg = build_link_graph(k4)
-        assert len(enumerate_paths(k4, kg, 1, 4, 3).routes) == 5
+        assert len(enumerate_paths(kg, 1, 4, 3).routes) == 5
 
         info["detail"] = ("round-trip, determinism, symmetry, threshold monotonicity, "
                           "scale-invariant argmin, K4 path count")

@@ -69,6 +69,24 @@ def test_gen_rejects_nonpositive_counts(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--area", "inf", "inf"], ["--area", "400", "nan"], ["--range", "inf"], ["--bw", "2", "inf"]],
+    ids=["area-inf", "area-nan", "range-inf", "bw-inf"],
+)
+@pytest.mark.parametrize("command", ["gen", "sweep"])
+def test_non_finite_flags_rejected(command, flags, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    argv = ["gen", "--out", str(out)] if command == "gen" else ["sweep", "--rounds", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + flags)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a finite positive number" in captured.err
+    assert not out.exists()
+
+
 # --- route -----------------------------------------------------------------
 
 
@@ -180,6 +198,14 @@ def test_compare_no_route(tmp_path, capsys):
     path = write_scenario(tmp_path, disconnected_pair())
     assert cli.main(["compare", "--scenario", path, "--src", "1", "--dst", "2"]) == 1
     assert capsys.readouterr().out == "NO ROUTE\n"
+
+
+def test_compare_same_endpoint_rejected_before_output(diamond, tmp_path, capsys):
+    path = write_scenario(tmp_path, diamond)
+    assert cli.main(["compare", "--scenario", path, "--src", "3", "--dst", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: source and dest must differ in a comparison\n"
 
 
 # --- sweep -----------------------------------------------------------------

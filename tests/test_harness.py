@@ -262,7 +262,7 @@ def test_ratio_search_never_beats_its_oracle_and_bounds_shortest():
         s = generate_scenario(template(seed=900 + seed, vehicle_count=7))
         g = build_link_graph(s)
         for source in g.vehicle_ids:
-            optima = best_routes_from(s, g, source, len(s.vehicles) - 1)
+            optima = best_routes_from(g, source, len(s.vehicles) - 1)
             for dest, best in optima.items():
                 r = astar(s, g, source, dest, Metric.BANDWIDTH)
                 p_opt = best[Metric.BANDWIDTH].stats.p_value

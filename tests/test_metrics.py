@@ -42,7 +42,7 @@ def test_distance_f_at_goal(diamond, k4, bridge):
     for s in (diamond, k4, bridge):
         g = build_link_graph(s)
         for src, dst in ordered_pairs(g):
-            optimum = best_route(enumerate_paths(s, g, src, dst, len(s.vehicles) - 1), Metric.DISTANCE)
+            optimum = best_route(enumerate_paths(g, src, dst, len(s.vehicles) - 1), Metric.DISTANCE)
             r = astar(s, g, src, dst, Metric.DISTANCE)
             assert (r is None) == (optimum is None)
             if r is not None:
@@ -93,7 +93,7 @@ def test_ratio_f_partial_route():
     r = astar(s, g, 1, 3, Metric.BANDWIDTH)
     assert r.vehicle_sequence == (1, 3)
     assert abs(r.stats.p_value - 11.1803) <= 1e-4
-    assert route_from_sequence(s, g, (1, 2, 3)).stats.p_value == 10.0
+    assert route_from_sequence(g, (1, 2, 3)).stats.p_value == 10.0
 
 
 def test_ratio_f_zero_bw_sum_rejected():
@@ -158,7 +158,7 @@ def test_complete_route_p_equals_f_at_goal(diamond, k4):
         g = build_link_graph(s)
         matched = 0
         for src in g.vehicle_ids:
-            optima = best_routes_from(s, g, src, len(s.vehicles) - 1)
+            optima = best_routes_from(g, src, len(s.vehicles) - 1)
             for dst, routes in optima.items():
                 r = astar(s, g, src, dst, Metric.BANDWIDTH)
                 total = sum(h.distance for h in r.hops)
@@ -198,7 +198,7 @@ def test_extend_zero_distance_edge():
     )
     g = build_link_graph(s)
     assert g.link(2, 3).distance == 0.0
-    r = route_from_sequence(s, g, (1, 2, 3))
+    r = route_from_sequence(g, (1, 2, 3))
     assert [(h.distance, h.bandwidth) for h in r.hops] == [(150.0, 2.0), (0.0, 5.0)]
     assert r.stats == RouteStats(150.0, 3.5, 150.0 / 7.0, 2)
 
@@ -241,7 +241,7 @@ def test_route_stats_mean_and_ratio():
 
 def test_route_stats_fast_relay(diamond):
     g = build_link_graph(diamond)
-    s = route_from_sequence(diamond, g, (1, 3, 4)).stats
+    s = route_from_sequence(g, (1, 3, 4)).stats
     assert abs(s.total_distance - 316.2278) <= 1e-4
     assert s.avg_bandwidth == 10.0
     assert abs(s.p_value - 15.8114) <= 1e-4
@@ -249,7 +249,7 @@ def test_route_stats_fast_relay(diamond):
 
 def test_route_stats_slow_relay(diamond):
     g = build_link_graph(diamond)
-    s = route_from_sequence(diamond, g, (1, 2, 4)).stats
+    s = route_from_sequence(g, (1, 2, 4)).stats
     assert s.total_distance == 300.0
     assert s.avg_bandwidth == 6.0
     assert s.p_value == 25.0
@@ -264,5 +264,5 @@ def test_distance_heuristic_admissible(diamond):
     # the straight line to the goal never exceeds any feasible path's length
     g = build_link_graph(diamond)
     for seq in [(1, 2, 4), (1, 3, 4), (1, 2, 3, 4), (1, 3, 2, 4)]:
-        total = route_from_sequence(diamond, g, seq).stats.total_distance
+        total = route_from_sequence(g, seq).stats.total_distance
         assert math.dist(diamond.vehicle(1).position, diamond.vehicle(4).position) <= total

@@ -227,6 +227,24 @@ def test_bad_genspec_rejected(overrides):
         generate_scenario(small_spec(**overrides))
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        (lambda v: {"area": (v, 100.0)}, "area.width"),
+        (lambda v: {"area": (100.0, v)}, "area.height"),
+        (lambda v: {"comm_range": v}, "comm_range"),
+        (lambda v: {"bandwidth_range": (v, 5.0)}, "bandwidth_range.min"),
+        (lambda v: {"bandwidth_range": (2.0, v)}, "bandwidth_range.max"),
+    ],
+    ids=["width", "height", "comm_range", "bw-min", "bw-max"],
+)
+def test_non_finite_genspec_rejected_naming_field(overrides, named, value):
+    # the same check and wording as validate_scenario's for a loaded document
+    with pytest.raises(ValueError, match=f"^{named} must be finite, got {value}$"):
+        generate_scenario(small_spec(**overrides(value)))
+
+
 # --- persistence -----------------------------------------------------------
 
 

@@ -19,13 +19,13 @@ from conftest import assert_route_feasible
 
 def test_single_path_chain(bridge):
     g = build_link_graph(bridge)
-    ps = enumerate_paths(bridge, g, 1, 2, 5)
+    ps = enumerate_paths(g, 1, 2, 5)
     assert [r.vehicle_sequence for r in ps.routes] == [(1, 3, 2)]
 
 
 def test_two_relay_paths_within_three_hops(diamond):
     g = build_link_graph(diamond)
-    ps = enumerate_paths(diamond, g, 1, 4, 3)
+    ps = enumerate_paths(g, 1, 4, 3)
     assert [r.vehicle_sequence for r in ps.routes] == [
         (1, 2, 3, 4),
         (1, 2, 4),
@@ -36,51 +36,51 @@ def test_two_relay_paths_within_three_hops(diamond):
 
 def test_two_relay_paths_within_two_hops(diamond):
     g = build_link_graph(diamond)
-    ps = enumerate_paths(diamond, g, 1, 4, 2)
+    ps = enumerate_paths(g, 1, 4, 2)
     assert [r.vehicle_sequence for r in ps.routes] == [(1, 2, 4), (1, 3, 4)]
 
 
 def test_hop_cap_excludes_everything(diamond):
     g = build_link_graph(diamond)
-    assert enumerate_paths(diamond, g, 1, 4, 1).routes == ()
+    assert enumerate_paths(g, 1, 4, 1).routes == ()
 
 
 def test_disconnected_pair_is_empty(bridge):
     s = Scenario(bridge.area, bridge.comm_range, bridge.vehicles[:2])
     g = build_link_graph(s)
-    assert enumerate_paths(s, g, 1, 2, 5).routes == ()
+    assert enumerate_paths(g, 1, 2, 5).routes == ()
 
 
 def test_source_equals_dest_zero_hop(diamond):
     g = build_link_graph(diamond)
-    ps = enumerate_paths(diamond, g, 2, 2, 3)
+    ps = enumerate_paths(g, 2, 2, 3)
     assert len(ps.routes) == 1 and ps.routes[0].hops == ()
 
 
 def test_bad_arguments(diamond):
     g = build_link_graph(diamond)
     with pytest.raises(ValueError):
-        enumerate_paths(diamond, g, 1, 4, 0)
+        enumerate_paths(g, 1, 4, 0)
     with pytest.raises(ValueError, match="unknown vehicle id"):
-        enumerate_paths(diamond, g, 1, 99, 3)
+        enumerate_paths(g, 1, 99, 3)
 
 
 def test_complete_graph_path_count(k4):
     g = build_link_graph(k4)
-    ps = enumerate_paths(k4, g, 1, 4, 3)
+    ps = enumerate_paths(g, 1, 4, 3)
     assert len(ps.routes) == 5
 
 
 def test_enumerated_paths_are_feasible(diamond, k4):
     for s in (diamond, k4):
         g = build_link_graph(s)
-        for r in enumerate_paths(s, g, 1, 4, 3).routes:
+        for r in enumerate_paths(g, 1, 4, 3).routes:
             assert_route_feasible(s, g, r)
 
 
 def test_best_route_under_each_metric(diamond):
     g = build_link_graph(diamond)
-    ps = enumerate_paths(diamond, g, 1, 4, 3)
+    ps = enumerate_paths(g, 1, 4, 3)
     assert best_route(ps, Metric.DISTANCE).vehicle_sequence == (1, 2, 4)
     assert best_route(ps, Metric.BANDWIDTH).vehicle_sequence == (1, 3, 4)
 
@@ -93,7 +93,7 @@ def test_best_route_empty_set():
 def test_best_distance_bounds_every_path(diamond, k4):
     for s in (diamond, k4):
         g = build_link_graph(s)
-        ps = enumerate_paths(s, g, 1, 4, 3)
+        ps = enumerate_paths(g, 1, 4, 3)
         best = best_route(ps, Metric.DISTANCE).stats.total_distance
         for r in ps.routes:
             assert best <= r.stats.total_distance
@@ -113,7 +113,7 @@ def test_best_route_tie_breaks_lexicographically():
         ),
     )
     g = build_link_graph(s)
-    ps = enumerate_paths(s, g, 1, 4, 3)
+    ps = enumerate_paths(g, 1, 4, 3)
     for metric in (Metric.DISTANCE, Metric.BANDWIDTH):
         assert best_route(ps, metric).vehicle_sequence == (1, 2, 4)
 
@@ -145,7 +145,7 @@ def test_matches_independent_enumeration():
         )
         g = build_link_graph(s)
         for max_hops in (2, 5):
-            ps = enumerate_paths(s, g, 1, 6, max_hops)
+            ps = enumerate_paths(g, 1, 6, max_hops)
             got = [r.vehicle_sequence for r in ps.routes]
             assert got == naive_simple_paths(g, 1, 6, max_hops)
             assert got == sorted(got)  # lexicographic output order
@@ -166,11 +166,11 @@ def test_best_routes_from_agrees_with_per_pair_queries():
         )
         g = build_link_graph(s)
         max_hops = len(s.vehicles) - 1
-        sweep = best_routes_from(s, g, 1, max_hops)
+        sweep = best_routes_from(g, 1, max_hops)
         for dest in g.vehicle_ids:
             if dest == 1:
                 continue
-            ps = enumerate_paths(s, g, 1, dest, max_hops)
+            ps = enumerate_paths(g, 1, dest, max_hops)
             if not ps.routes:
                 assert dest not in sweep
                 continue
@@ -181,7 +181,7 @@ def test_best_routes_from_agrees_with_per_pair_queries():
 def test_search_route_is_always_enumerated(diamond):
     # whatever the search returns is one of the exhaustively enumerated paths
     g = build_link_graph(diamond)
-    ps = enumerate_paths(diamond, g, 1, 4, 3)
+    ps = enumerate_paths(g, 1, 4, 3)
     sequences = {r.vehicle_sequence for r in ps.routes}
     for metric in (Metric.DISTANCE, Metric.BANDWIDTH):
         assert astar(diamond, g, 1, 4, metric).vehicle_sequence in sequences

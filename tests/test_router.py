@@ -93,7 +93,7 @@ def test_closed_vehicles_stay_closed(diamond):
     r = astar(diamond, g, 2, 1, Metric.BANDWIDTH)
     assert r.vehicle_sequence == (2, 1)
     assert r.stats.p_value == 15.0
-    better = route_from_sequence(diamond, g, (2, 3, 1))
+    better = route_from_sequence(g, (2, 3, 1))
     assert better.stats.p_value < r.stats.p_value
 
 
@@ -204,9 +204,9 @@ def test_routes_on_random_scenarios_are_feasible():
 def test_route_from_sequence_rejects_unlinked(bridge):
     g = build_link_graph(bridge)
     with pytest.raises(ValueError, match="not linked"):
-        route_from_sequence(bridge, g, (1, 2))
+        route_from_sequence(g, (1, 2))
     with pytest.raises(ValueError):
-        route_from_sequence(bridge, g, ())
+        route_from_sequence(g, ())
 
 
 # --- differential check against the search that chose radios per expansion ---
@@ -257,8 +257,9 @@ def expand(node, scenario, graph, dest, metric):
 def reference_astar(scenario, graph, source, dest, metric):
     """The search as it ran before links carried their radio choice.
 
-    Per expansion it picks each link's radio pair from the link's radio_pairs
-    (select_radio_pair), extends an accumulator object, and computes the
+    Per expansion it picks each link's radio pair from the two vehicles'
+    shared-channel pairs (select_radio_pair), extends an accumulator object,
+    and computes the
     ordering value through the metric's formula; hops are rebuilt from the
     graph and the receiving radio.
     """

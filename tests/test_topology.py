@@ -8,12 +8,11 @@ from freqroute import (
     build_link_graph,
     euclid,
     generate_scenario,
-    shared_frequency_pairs,
     validate_scenario,
 )
 from freqroute.model import GenSpec
 from freqroute.topology import Link, LinkGraph
-from conftest import fleet_3000, make_vehicle, select_radio_pair
+from conftest import fleet_3000, make_vehicle, select_radio_pair, shared_frequency_pairs
 
 
 def test_euclid_345():
@@ -106,21 +105,23 @@ def test_mirrored_links(diamond):
             back = g.link(link.to_vehicle, vid)
             assert back is not None
             assert back.distance == link.distance
-            assert back.radio_pairs == tuple(
-                shared_frequency_pairs(
-                    diamond.vehicle(link.to_vehicle), diamond.vehicle(vid)
+            for hop in (link, back):
+                assert (hop.radio_pair, hop.bandwidth) == select_radio_pair(diamond, hop)
+                assert hop.radio_pair in shared_frequency_pairs(
+                    diamond.vehicle(hop.from_vehicle), diamond.vehicle(hop.to_vehicle)
                 )
-            )
 
 
 def test_every_link_pair_matches_frequency(bridge):
     g = build_link_graph(bridge)
     for vid in g.vehicle_ids:
         for link in g.neighbors(vid):
-            for tx, rx in link.radio_pairs:
-                tx_radio = bridge.vehicle(vid).radio(tx)
-                rx_radio = bridge.vehicle(link.to_vehicle).radio(rx)
-                assert tx_radio.frequency == rx_radio.frequency
+            tx, rx = link.radio_pair
+            tx_radio = bridge.vehicle(vid).radio(tx)
+            rx_radio = bridge.vehicle(link.to_vehicle).radio(rx)
+            assert tx_radio.frequency == rx_radio.frequency
+            assert link.bandwidth == rx_radio.bandwidth
+            assert (link.radio_pair, link.bandwidth) == select_radio_pair(bridge, link)
 
 
 def test_reachability(bridge):
@@ -166,7 +167,8 @@ def test_brute_force_equivalence():
                 if d <= s.comm_range and pairs:
                     assert link is not None
                     assert link.distance == d
-                    assert list(link.radio_pairs) == pairs
+                    assert link.radio_pair in pairs
+                    assert (link.radio_pair, link.bandwidth) == select_radio_pair(s, link)
                 else:
                     assert link is None
 
@@ -175,7 +177,8 @@ def all_pairs_link_graph(scenario):
     """The quadratic builder the grid replaced: every pair tested, in id order.
 
     Each direction's radio pair comes from the reference per-hop rule,
-    select_radio_pair, applied to that direction's radio pairs.
+    select_radio_pair, which lists every shared-channel pair of the two
+    vehicles.
     """
     order = sorted(scenario.vehicles, key=lambda v: v.vehicle_id)
     adjacency = {v.vehicle_id: [] for v in order}
@@ -187,9 +190,7 @@ def all_pairs_link_graph(scenario):
             if not shared_frequency_pairs(a, b):
                 continue
             for u, v in ((a, b), (b, a)):
-                unchosen = Link(
-                    u.vehicle_id, v.vehicle_id, d, tuple(shared_frequency_pairs(u, v)), None, None
-                )
+                unchosen = Link(u.vehicle_id, v.vehicle_id, d, None, None)
                 pair, bw = select_radio_pair(scenario, unchosen)
                 adjacency[u.vehicle_id].append(unchosen._replace(radio_pair=pair, bandwidth=bw))
     return LinkGraph(adjacency)
@@ -245,6 +246,7 @@ def fleets(draw):
 @example(scenario=fleet_3000(1))
 @example(scenario=fleet_3000(2))
 @example(scenario=fleet_3000(3))
+@example(scenario=fleet_3000(4, radios=4, channels=8))  # few vehicles share a ranked plan
 def test_grid_matches_all_pairs(scenario):
     assert_matches_all_pairs(scenario)
 
