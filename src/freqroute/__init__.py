@@ -29,7 +29,7 @@ from .model import (
     save_scenario,
     validate_scenario,
 )
-from .oracle import PathSet, best_route, best_routes_from, enumerate_paths
+from .oracle import Optimum, PathSet, best_route, best_routes_from, enumerate_paths
 from .router import Hop, Route, astar, route_from_sequence
 from .topology import Link, LinkGraph, build_link_graph, euclid
 
@@ -45,6 +45,7 @@ __all__ = [
     "LinkGraph",
     "Metric",
     "MetricCheck",
+    "Optimum",
     "PathSet",
     "Radio",
     "Route",

@@ -283,21 +283,13 @@ def cross_check(
         optima = best_routes_from(graph, source, max_hops)
         for dest in sorted(optima):
             report.connected_pairs += 1
-            for metric, check in (
-                (Metric.DISTANCE, report.distance),
-                (Metric.BANDWIDTH, report.bandwidth),
-            ):
+            for metric, check in zip(METRICS, (report.distance, report.bandwidth)):
                 route = astar(scenario, graph, source, dest, metric)
                 if route is None:
                     raise RuntimeError(
                         f"pair ({source}, {dest}) has a path but the search found none"
                     )
-                stats = route.stats
-                ostats = optima[dest][metric].stats
-                if metric is Metric.DISTANCE:
-                    check.record(stats.total_distance, ostats.total_distance, tol)
-                else:
-                    check.record(stats.p_value, ostats.p_value, tol)
+                check.record(route.stats.cost(metric), optima[dest][metric].cost, tol)
     return report
 
 

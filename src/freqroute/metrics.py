@@ -24,6 +24,10 @@ class RouteStats:
     p_value: float
     hops: int
 
+    def cost(self, metric: Metric) -> float:
+        """The route's cost under `metric`: its total distance, or its finished ratio p."""
+        return self.total_distance if metric is Metric.DISTANCE else self.p_value
+
 
 def route_stats(route: "Route") -> RouteStats:
     """Summary figures for a completed route.

@@ -104,9 +104,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     Violations are reported as data rather than raised so callers can show all
     of them at once. Checks: finite numbers (each violation names its
     document field), positive area and range, unique vehicle ids, non-empty
-    radio lists with unique per-vehicle radio ids, positive bandwidths, and
-    positions inside the area bounds. Finite positions and positive finite
-    bandwidths are what keep every link distance, bandwidth sum and ratio
+    radio lists with unique per-vehicle radio ids, positive bandwidths whose
+    per-vehicle maxima have a finite sum, and positions inside the area
+    bounds. These are what keep every link distance, bandwidth sum and ratio
     finite.
     """
     problems: list[str] = []
@@ -114,6 +114,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     sizes = (("area.width", w), ("area.height", h), ("comm_range", scenario.comm_range))
     problems += filter(None, (_size_problem(name, value) for name, value in sizes))
     seen: set[int] = set()
+    peak_sum = 0.0
     for v in scenario.vehicles:
         if v.vehicle_id in seen:
             problems.append(f"duplicate vehicle_id {v.vehicle_id}")
@@ -132,20 +133,21 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if not v.radios:
             problems.append(f"vehicle {v.vehicle_id}: empty radio list")
         radio_seen: set[int] = set()
+        largest = 0.0  # the vehicle's largest valid bw
         for r in v.radios:
             if r.radio_id in radio_seen:
                 problems.append(f"vehicle {v.vehicle_id}: duplicate radio_id {r.radio_id}")
             radio_seen.add(r.radio_id)
-            if not math.isfinite(r.bandwidth):
-                problems.append(
-                    f"vehicle {v.vehicle_id} radio {r.radio_id}: bw must be finite,"
-                    f" got {r.bandwidth}"
-                )
-            elif not r.bandwidth > 0:
-                problems.append(
-                    f"vehicle {v.vehicle_id} radio {r.radio_id}: bandwidth must be > 0,"
-                    f" got {r.bandwidth}"
-                )
+            if not 0 < r.bandwidth < math.inf:  # _size_problem's test, without a name per radio
+                name = f"vehicle {v.vehicle_id} radio {r.radio_id}: bw"
+                problems.append(_size_problem(name, r.bandwidth))
+            elif r.bandwidth > largest:
+                largest = r.bandwidth
+        peak_sum += largest
+    # a simple route receives on at most one radio per vehicle, so the sum of
+    # each vehicle's largest valid bw bounds every route's bandwidth sum
+    if not math.isfinite(peak_sum):
+        problems.append(f"bw: each vehicle's largest bw must sum to a finite total, got {peak_sum}")
     return problems
 
 

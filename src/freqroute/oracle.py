@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .metrics import Metric
 from .router import Route, route_from_sequence
@@ -20,40 +20,46 @@ class PathSet:
     max_hops: int
 
 
+class Optimum(NamedTuple):
+    """The true optimum to one destination under one metric."""
+
+    cost: float  # DISTANCE: the distance sum; BANDWIDTH: distance sum / bandwidth sum
+    vehicle_sequence: tuple[int, ...]
+
+
 def _walk_simple_paths(
     graph: LinkGraph,
     source: int,
     max_hops: int,
-    visit: Callable[[list[int], float, float], None],
+    visit: Callable[[tuple[int, ...], float, float], None],
 ) -> None:
     """Depth-first sweep over every simple path from `source` with 1..max_hops edges.
 
     Neighbors are taken in ascending id order and shorter prefixes are visited
     before their extensions, so over the whole sweep the paths arrive in
-    lexicographic vehicle-sequence order. `visit` receives the live path list
-    (source included) plus the distance and bandwidth sums, each hop counted
-    with its link's chosen receiving bandwidth; copy the list before keeping it.
+    lexicographic vehicle-sequence order. `visit` receives the path tuple
+    (source included) and its distance and bandwidth sums, added hop by hop
+    from 0.0 as `route_stats` adds them. The walk reads plain
+    `(to_vehicle, bit, distance, bandwidth)` tuples and keeps the path's
+    vehicles as an int bitmask, one bit per index in `graph.vehicle_ids`.
     """
-    path = [source]
-    on_path = {source}
-    neighbors = graph.neighbors
+    bits = {vid: 1 << i for i, vid in enumerate(graph.vehicle_ids)}
+    adjacency = {
+        u: [(l.to_vehicle, bits[l.to_vehicle], l.distance, l.bandwidth) for l in graph.neighbors(u)]
+        for u in bits
+    }
 
-    def descend(u: int, dist_sum: float, bw_sum: float) -> None:
-        for link in neighbors(u):
-            w = link.to_vehicle
-            if w in on_path:
-                continue
-            nd = dist_sum + link.distance
-            nb = bw_sum + link.bandwidth
-            path.append(w)
-            on_path.add(w)
-            visit(path, nd, nb)
-            if len(path) - 1 < max_hops:
-                descend(w, nd, nb)
-            on_path.discard(w)
-            path.pop()
+    def descend(path, on_path: int, dist_sum: float, bw_sum: float, hops_left: int) -> None:
+        for w, bit, distance, bandwidth in adjacency[path[-1]]:
+            if not on_path & bit:
+                extended = path + (w,)
+                nd = dist_sum + distance
+                nb = bw_sum + bandwidth
+                visit(extended, nd, nb)
+                if hops_left > 1:
+                    descend(extended, on_path | bit, nd, nb, hops_left - 1)
 
-    descend(source, 0.0, 0.0)
+    descend((source,), bits[source], 0.0, 0.0, max_hops)
 
 
 def enumerate_paths(
@@ -78,9 +84,9 @@ def enumerate_paths(
 
     sequences: list[tuple[int, ...]] = []
 
-    def visit(path: list[int], dist_sum: float, bw_sum: float) -> None:
+    def visit(path: tuple[int, ...], dist_sum: float, bw_sum: float) -> None:
         if path[-1] == dest:
-            sequences.append(tuple(path))
+            sequences.append(path)
 
     _walk_simple_paths(graph, source, max_hops, visit)
     routes = tuple(route_from_sequence(graph, seq) for seq in sequences)
@@ -96,26 +102,22 @@ def best_route(paths: PathSet, metric: Metric) -> Route | None:
         return None
     if paths.source == paths.destination:
         return paths.routes[0]
-    if metric is Metric.DISTANCE:
-        def key(r: Route):
-            return (r.stats.total_distance, r.vehicle_sequence)
-    else:
-        def key(r: Route):
-            return (r.stats.p_value, r.vehicle_sequence)
-    return min(paths.routes, key=key)
+    return min(paths.routes, key=lambda r: (r.stats.cost(metric), r.vehicle_sequence))
 
 
 def best_routes_from(
     graph: LinkGraph,
     source: int,
     max_hops: int,
-) -> dict[int, dict[Metric, Route]]:
+) -> dict[int, dict[Metric, Optimum]]:
     """True optima from `source` to every reachable vehicle, in one exhaustive sweep.
 
-    For each destination the distance-minimal and ratio-minimal routes are
-    tracked incrementally instead of materializing every enumerated path, so
-    this is the form the batch cross-checks use. Tie-breaking matches
-    best_route: equal costs go to the smaller vehicle sequence.
+    Per destination and metric only the optimal cost and its vehicle
+    sequence are kept; `route_from_sequence` gives the Route. Costs are
+    summed as `route_stats` sums them, so each equals its Route's
+    `total_distance` or `p_value` bit for bit. Paths arrive in lexicographic
+    order and only a strictly smaller cost replaces a kept one, so ties go to
+    the smaller vehicle sequence, as in best_route.
     """
     if max_hops < 1:
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
@@ -125,23 +127,19 @@ def best_routes_from(
     # per destination: [shortest distance, its sequence, lowest ratio, its sequence]
     best: dict[int, list] = {}
 
-    def visit(path: list[int], dist_sum: float, bw_sum: float) -> None:
+    def visit(path: tuple[int, ...], dist_sum: float, bw_sum: float) -> None:
         ratio = dist_sum / bw_sum
         slot = best.get(path[-1])
         if slot is None:
-            seq = tuple(path)
-            best[path[-1]] = [dist_sum, seq, ratio, seq]
+            best[path[-1]] = [dist_sum, path, ratio, path]
             return
-        if dist_sum < slot[0] or (dist_sum == slot[0] and tuple(path) < slot[1]):
-            slot[0], slot[1] = dist_sum, tuple(path)
-        if ratio < slot[2] or (ratio == slot[2] and tuple(path) < slot[3]):
-            slot[2], slot[3] = ratio, tuple(path)
+        if dist_sum < slot[0]:
+            slot[0], slot[1] = dist_sum, path
+        if ratio < slot[2]:
+            slot[2], slot[3] = ratio, path
 
     _walk_simple_paths(graph, source, max_hops, visit)
     return {
-        dest: {
-            Metric.DISTANCE: route_from_sequence(graph, by_distance),
-            Metric.BANDWIDTH: route_from_sequence(graph, by_ratio),
-        }
-        for dest, (_, by_distance, _, by_ratio) in best.items()
+        dest: {Metric.DISTANCE: Optimum(dist, by_dist), Metric.BANDWIDTH: Optimum(ratio, by_ratio)}
+        for dest, (dist, by_dist, ratio, by_ratio) in best.items()
     }

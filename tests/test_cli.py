@@ -149,7 +149,7 @@ def test_route_rejects_invalid_scenario(tmp_path, capsys):
         '{"id": 1, "x": 0, "y": 0, "radios": [{"id": 1, "freq": 1, "bw": -3}]}]}'
     )
     assert cli.main(["route", "--scenario", str(bad), "--src", "1", "--dst", "1"]) == 2
-    assert "bandwidth" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: vehicle 1 radio 1: bw must be > 0, got -3.0\n"
 
 
 def test_route_rejects_infinite_numbers(tmp_path, capsys):
@@ -273,6 +273,30 @@ def test_validate_batch(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("scenarios=2 connected_ordered_pairs=")
     assert "match" in lines[1] and "(100.0%)" in lines[1]
+
+
+def test_validate_batch_summary(capsys):
+    # the exhaustive oracle's verdict on 200 seeded 8-10 vehicle fleets
+    assert cli.main(["validate", "--batch", "200", "--seed", "3000", "--vehicles", "8",
+                     "--vehicles-max", "10"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "scenarios=200 connected_ordered_pairs=10680",
+        "distance   match 10680/10680 (100.0%) worst_relative_gap 0.000e+00",
+        "bandwidth  match 3967/10680 (37.1%) worst_relative_gap 2.582e+00",
+    ]
+
+
+def test_validate_rejects_overflowing_bandwidth_sum(tmp_path, capsys):
+    # three vehicles 50 m apart at bw 1e308: each bw is finite, a two-hop
+    # route's bandwidth sum is not
+    path = write_scenario(tmp_path, Scenario(
+        (200.0, 200.0), 60.0,
+        tuple(make_vehicle(vid, x, 0, [(1, 1, 1e308)]) for vid, x in ((1, 0), (2, 50), (3, 100))),
+    ))
+    assert cli.main(["validate", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bw: each vehicle's largest bw must sum to a finite total, got inf\n"
 
 
 def test_validate_refuses_oversized_scenario(tmp_path, capsys):

@@ -14,6 +14,7 @@ from freqroute import (
     cross_check_batch,
     generate_scenario,
     lowest_connected_pair,
+    route_from_sequence,
     run_sweep,
     run_sweep_fixed,
     summarize_sweep,
@@ -265,10 +266,12 @@ def test_ratio_search_never_beats_its_oracle_and_bounds_shortest():
             optima = best_routes_from(g, source, len(s.vehicles) - 1)
             for dest, best in optima.items():
                 r = astar(s, g, source, dest, Metric.BANDWIDTH)
-                p_opt = best[Metric.BANDWIDTH].stats.p_value
+                p_opt = best[Metric.BANDWIDTH].cost
                 assert r.stats.p_value >= p_opt - 1e-9
                 if abs(r.stats.p_value - p_opt) <= 1e-9:
-                    assert r.stats.p_value <= best[Metric.DISTANCE].stats.p_value + 1e-9
+                    shortest = route_from_sequence(g, best[Metric.DISTANCE].vehicle_sequence).stats
+                    assert shortest.total_distance == best[Metric.DISTANCE].cost
+                    assert r.stats.p_value <= shortest.p_value + 1e-9
 
 
 def test_p_ordering_holds_when_ratio_check_is_clean(bridge):

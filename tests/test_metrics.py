@@ -108,7 +108,7 @@ def test_ratio_f_zero_bw_sum_rejected():
             {"id": 2, "x": 10, "y": 0, "radios": [{"id": 1, "freq": 1, "bw": 3}]},
         ],
     }
-    with pytest.raises(ScenarioValidationError, match="vehicle 1 radio 1: bandwidth must be > 0"):
+    with pytest.raises(ScenarioValidationError, match="vehicle 1 radio 1: bw must be > 0, got 0.0"):
         load_scenario(json.dumps(doc))
     s = generate_scenario(GenSpec(3, 12, (300.0, 300.0), 200.0, 2, (1, 2), (0.01, 0.04)))
     g = build_link_graph(s)
@@ -164,9 +164,10 @@ def test_complete_route_p_equals_f_at_goal(diamond, k4):
                 total = sum(h.distance for h in r.hops)
                 assert r.stats.p_value == total / sum(h.bandwidth for h in r.hops)
                 oracle = routes[Metric.BANDWIDTH]
+                assert oracle.cost == route_from_sequence(g, oracle.vehicle_sequence).stats.p_value
                 if r.vehicle_sequence == oracle.vehicle_sequence:
                     matched += 1
-                    assert r.stats.p_value == oracle.stats.p_value
+                    assert r.stats.p_value == oracle.cost
         assert matched > 0
 
 
@@ -208,10 +209,10 @@ def test_extend_rejects_bad_inputs():
     # must be positive and finite, and positions finite, so no link has a
     # negative, infinite or NaN distance
     for field, value, message in (
-        ("bw", 0.0, "bandwidth must be > 0"),
-        ("bw", -2.0, "bandwidth must be > 0"),
-        ("bw", math.inf, "bw must be finite"),
-        ("x", -math.inf, "x must be finite"),
+        ("bw", 0.0, "vehicle 1 radio 1: bw must be > 0, got 0.0"),
+        ("bw", -2.0, "vehicle 1 radio 1: bw must be > 0, got -2.0"),
+        ("bw", math.inf, "vehicle 1 radio 1: bw must be finite, got inf"),
+        ("x", -math.inf, "vehicle 1: x must be finite, got -inf"),
     ):
         radio = {"id": 1, "freq": 1, "bw": 2.0}
         vehicle = {"id": 1, "x": 0.0, "y": 0.0, "radios": [radio]}

@@ -78,9 +78,9 @@ def test_empty_radio_list_reported():
 
 def test_nonpositive_bandwidth_reported():
     s = Scenario((100.0, 100.0), 50.0, (make_vehicle(1, 0, 0, [(1, 1, 0.0)]),))
-    assert any("bandwidth" in p for p in validate_scenario(s))
+    assert validate_scenario(s) == ["vehicle 1 radio 1: bw must be > 0, got 0.0"]
     s = Scenario((100.0, 100.0), 50.0, (make_vehicle(1, 0, 0, [(1, 1, -3.0)]),))
-    assert any("bandwidth" in p for p in validate_scenario(s))
+    assert validate_scenario(s) == ["vehicle 1 radio 1: bw must be > 0, got -3.0"]
 
 
 def test_position_outside_area_reported():
@@ -152,6 +152,29 @@ def test_non_finite_number_rejected_naming_field(path, named, value):
     with pytest.raises(ScenarioValidationError) as exc:
         load_scenario(json.dumps(doc))  # writes Infinity / -Infinity / NaN
     assert f"{named} must be finite, got {value}" in exc.value.violations
+
+
+def test_overflowing_bandwidth_sum_rejected_naming_field():
+    # every bw is finite, but a route over the chain receives 2e308 kb/s;
+    # the sum of each vehicle's largest bw bounds any route's sum
+    doc = finite_doc()
+    doc["vehicles"] = [
+        {"id": vid, "x": x, "y": 0.0, "radios": [{"id": 1, "freq": 1, "bw": 1e308}]}
+        for vid, x in ((1, 0.0), (2, 50.0), (3, 100.0))
+    ]
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(json.dumps(doc))
+    assert exc.value.violations == ["bw: each vehicle's largest bw must sum to a finite total, got inf"]
+    # only each vehicle's largest bw counts (all three radios below sum to
+    # inf, the two largest do not), and an invalid bw is reported once, as itself
+    doc["vehicles"] = doc["vehicles"][:2]
+    doc["vehicles"][0]["radios"] = [{"id": 1, "freq": 1, "bw": 8e307}, {"id": 2, "freq": 2, "bw": 8e307}]
+    doc["vehicles"][1]["radios"] = [{"id": 1, "freq": 1, "bw": 8e307}]
+    assert len(load_scenario(json.dumps(doc)).vehicles) == 2
+    doc["vehicles"][1]["radios"][0]["bw"] = math.inf
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(json.dumps(doc))
+    assert exc.value.violations == ["vehicle 2 radio 1: bw must be finite, got inf"]
 
 
 def test_infinite_area_and_position_rejected():
@@ -337,7 +360,7 @@ def test_load_rejects_invalid_scenario():
     }
     with pytest.raises(ScenarioValidationError) as exc:
         load_scenario(json.dumps(doc))
-    assert any("bandwidth" in v for v in exc.value.violations)
+    assert exc.value.violations == ["vehicle 1 radio 1: bw must be > 0, got 0.0"]
 
 
 def test_integer_coordinates_load_as_floats():

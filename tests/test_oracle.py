@@ -5,6 +5,7 @@ import pytest
 from freqroute import (
     GenSpec,
     Metric,
+    Optimum,
     PathSet,
     Scenario,
     astar,
@@ -13,8 +14,9 @@ from freqroute import (
     build_link_graph,
     enumerate_paths,
     generate_scenario,
+    route_from_sequence,
 )
-from conftest import assert_route_feasible
+from conftest import assert_route_feasible, make_vehicle
 
 
 def test_single_path_chain(bridge):
@@ -167,6 +169,7 @@ def test_best_routes_from_agrees_with_per_pair_queries():
         g = build_link_graph(s)
         max_hops = len(s.vehicles) - 1
         sweep = best_routes_from(g, 1, max_hops)
+        reached = set()
         for dest in g.vehicle_ids:
             if dest == 1:
                 continue
@@ -174,8 +177,11 @@ def test_best_routes_from_agrees_with_per_pair_queries():
             if not ps.routes:
                 assert dest not in sweep
                 continue
-            for metric in (Metric.DISTANCE, Metric.BANDWIDTH):
-                assert sweep[dest][metric] == best_route(ps, metric)
+            reached.add(dest)
+            for metric in tuple(Metric):
+                expected = best_route(ps, metric)
+                assert sweep[dest][metric] == Optimum(expected.stats.cost(metric), expected.vehicle_sequence)
+        assert set(sweep) == reached
 
 
 def test_search_route_is_always_enumerated(diamond):
@@ -185,3 +191,61 @@ def test_search_route_is_always_enumerated(diamond):
     sequences = {r.vehicle_sequence for r in ps.routes}
     for metric in (Metric.DISTANCE, Metric.BANDWIDTH):
         assert astar(diamond, g, 1, 4, metric).vehicle_sequence in sequences
+
+
+def oracle_scenarios():
+    """Seeded fleets of 1-10 vehicles, each with 1-3 radios over 1-3 channels."""
+    for n in range(1, 11):
+        for radios in (1, 2, 3):
+            channels = 1 + (n + radios) % 3
+            yield generate_scenario(
+                GenSpec(100 * n + radios, n, (400.0, 400.0), 180.0, radios,
+                        tuple(range(1, channels + 1)), (2.0, 10.0))
+            )
+
+
+def test_best_routes_from_matches_naive_enumeration():
+    # at every hop cap, per destination and metric: the sequence is the
+    # (cost, sequence) minimum over the independently enumerated paths, and
+    # the cost equals the materialized route's stats bit for bit. The
+    # permutations grow fast, so 9-10 vehicle fleets check one source and
+    # two destinations
+    for s in oracle_scenarios():
+        g = build_link_graph(s)
+        n = len(s.vehicles)
+        ids = sorted(g.vehicle_ids)
+        for src in ids if n <= 8 else ids[:1]:
+            others = [d for d in ids if d != src]
+            dests = others if n <= 8 else others[-2:]
+            paths = {
+                d: [(seq, route_from_sequence(g, seq).stats) for seq in naive_simple_paths(g, src, d, n - 1)]
+                for d in dests
+            }
+            for cap in range(1, max(n, 2)):
+                optima = best_routes_from(g, src, cap)
+                assert src not in optima
+                for d in dests:
+                    within = [(seq, stats) for seq, stats in paths[d] if len(seq) - 1 <= cap]
+                    assert (d in optima) == bool(within)
+                    for metric in tuple(Metric) if within else ():
+                        seq, stats = min(within, key=lambda p: (p[1].cost(metric), p[0]))
+                        assert optima[d][metric] == Optimum(stats.cost(metric), seq)
+
+
+def test_best_routes_from_tie_goes_to_smaller_sequence():
+    # a square with four equal sides and no diagonal links: both routes
+    # between opposite corners cost exactly the same under both metrics. The
+    # walk meets the smaller sequence first, and a later path replaces a
+    # kept optimum only when strictly cheaper
+    s = Scenario(
+        (100.0, 100.0), 100.0,
+        tuple(make_vehicle(vid, x, y, [(1, 1, 5.0)])
+              for vid, x, y in ((1, 0, 0), (2, 100, 0), (3, 0, 100), (4, 100, 100))),
+    )
+    g = build_link_graph(s)
+    assert g.link(1, 4) is None and g.link(2, 3) is None
+    assert route_from_sequence(g, (1, 2, 4)).stats == route_from_sequence(g, (1, 3, 4)).stats
+    for src, dst, smaller in ((1, 4, (1, 2, 4)), (4, 1, (4, 2, 1)), (2, 3, (2, 1, 3)), (3, 2, (3, 1, 2))):
+        stats = route_from_sequence(g, smaller).stats
+        for metric in tuple(Metric):
+            assert best_routes_from(g, src, 3)[dst][metric] == Optimum(stats.cost(metric), smaller)

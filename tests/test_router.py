@@ -1,9 +1,10 @@
 import heapq
+import math
 import random
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freqroute import (
     GenSpec,
@@ -346,3 +347,81 @@ def test_search_matches_reference_search(scenario, query_seed):
             assert astar(scenario, g, source, dest, metric) == reference_astar(
                 scenario, g, source, dest, metric
             )
+
+
+# --- distance exactness beyond the oracle's vehicle cap -----------------------
+
+
+def dijkstra_distances(graph, source):
+    """Shortest distance from `source` to every vehicle it reaches, by plain Dijkstra.
+
+    This is A* with a zero estimate (Hart, Nilsson & Raphael 1968), a reference
+    that needs no positions and enumerates nothing, so it scales to any fleet.
+    """
+    dist = {source: 0.0}
+    done = set()
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for link in graph.neighbors(u):
+            nd = d + link.distance
+            if nd < dist.get(link.to_vehicle, math.inf):
+                dist[link.to_vehicle] = nd
+                heapq.heappush(heap, (nd, link.to_vehicle))
+    return dist
+
+
+@st.composite
+def large_fleets(draw):
+    """Generated fleets of 300-3000 vehicles at the density of fleet_3000 (mean degree ~12)."""
+    n = draw(st.integers(300, 3000))
+    side = 6000.0 * math.sqrt(n / 3000)
+    radios, channels = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return generate_scenario(
+        GenSpec(draw(st.integers(0, 2**16)), n, (side, side), 250.0, radios,
+                tuple(range(1, channels + 1)), (2.0, 10.0))
+    )
+
+
+@settings(max_examples=4)
+@given(scenario=large_fleets(), query_seed=st.integers(0, 2**16))
+@example(scenario=fleet_3000(1), query_seed=1)
+@example(scenario=fleet_3000(5, radios=1, channels=2), query_seed=2)
+def test_distance_search_matches_dijkstra_on_large_fleets(scenario, query_seed):
+    # the straight-line estimate never overshoots, so the distance search is
+    # exact at every fleet size: its length equals Dijkstra's within 1e-9 and
+    # it finds a route exactly when Dijkstra reaches the destination
+    g = build_link_graph(scenario)
+    rng = random.Random(query_seed)
+    ids = sorted(g.vehicle_ids)
+    for source in rng.sample(ids, 2):
+        dist = dijkstra_distances(g, source)
+        for dest in rng.sample(ids, 8) + rng.sample(sorted(dist), min(4, len(dist))):
+            r = astar(scenario, g, source, dest, Metric.DISTANCE)
+            assert (r is not None) == (dest in dist)
+            if r is not None and r.hops:
+                assert abs(r.stats.total_distance - dist[dest]) <= 1e-9
+
+
+def test_dijkstra_reference_matches_networkx():
+    # a second, independent reference for the one above
+    nx = pytest.importorskip("networkx")
+    scenario = fleet_3000(2)
+    g = build_link_graph(scenario)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vehicle_ids)
+    nxg.add_weighted_edges_from(
+        (l.from_vehicle, l.to_vehicle, l.distance) for vid in g.vehicle_ids for l in g.neighbors(vid)
+    )
+    rng = random.Random(2)
+    for source in rng.sample(sorted(g.vehicle_ids), 2):
+        expected = nx.single_source_dijkstra_path_length(nxg, source)
+        dist = dijkstra_distances(g, source)
+        assert dist.keys() == expected.keys()
+        assert all(abs(dist[v] - expected[v]) <= 1e-9 for v in dist)
+        for dest in rng.sample(sorted(dist), 6):
+            r = astar(scenario, g, source, dest, Metric.DISTANCE)
+            assert abs((r.stats.total_distance if r.hops else 0.0) - expected[dest]) <= 1e-9
