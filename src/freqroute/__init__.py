@@ -29,7 +29,7 @@ from .model import (
     save_scenario,
     validate_scenario,
 )
-from .oracle import Optimum, PathSet, best_route, best_routes_from, enumerate_paths
+from .oracle import Optimum, best_routes_from
 from .router import Hop, Route, astar, route_from_sequence
 from .topology import Link, LinkGraph, build_link_graph, euclid
 
@@ -46,7 +46,6 @@ __all__ = [
     "Metric",
     "MetricCheck",
     "Optimum",
-    "PathSet",
     "Radio",
     "Route",
     "RouteStats",
@@ -57,13 +56,11 @@ __all__ = [
     "SweepRow",
     "Vehicle",
     "astar",
-    "best_route",
     "best_routes_from",
     "build_link_graph",
     "compare_routes",
     "cross_check",
     "cross_check_batch",
-    "enumerate_paths",
     "euclid",
     "generate_scenario",
     "load_scenario",

@@ -164,9 +164,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if (args.src is None) != (args.dst is None):
-        print("error: --src and --dst must be given together", file=sys.stderr)
-        return EXIT_INVALID
     if args.scenario:
         scenario = _load(args.scenario)
         rows = run_sweep_fixed(scenario, args.rounds, args.src, args.dst)

@@ -13,6 +13,8 @@ from .topology import LinkGraph, build_link_graph
 
 # cross-checks enumerate every simple path, so they are capped at small graphs
 ORACLE_MAX_VEHICLES = 10
+# a search cost within this of the exhaustive optimum counts as a match
+MATCH_TOL = 1e-9
 
 METRICS = (Metric.DISTANCE, Metric.BANDWIDTH)
 
@@ -224,15 +226,15 @@ class MetricCheck:
     def match_rate(self) -> float:
         return 1.0 if self.pairs == 0 else self.matched / self.pairs
 
-    def record(self, search_cost: float, oracle_cost: float, tol: float) -> None:
+    def record(self, search_cost: float, oracle_cost: float) -> None:
         gap = search_cost - oracle_cost
-        if gap < -tol:
+        if gap < -MATCH_TOL:
             # the search route is itself one of the enumerated paths
             raise RuntimeError(
                 f"search cost {search_cost} below exhaustive minimum {oracle_cost}"
             )
         self.pairs += 1
-        if abs(gap) <= tol:
+        if abs(gap) <= MATCH_TOL:
             self.matched += 1
             self.worst_matched_gap = max(self.worst_matched_gap, abs(gap))
         rel = gap / oracle_cost if oracle_cost > 0 else 0.0
@@ -259,12 +261,7 @@ class CrossCheckReport:
         self.bandwidth.merge(other.bandwidth)
 
 
-def cross_check(
-    scenario: Scenario,
-    graph: LinkGraph | None = None,
-    tol: float = 1e-9,
-    max_vehicles: int = ORACLE_MAX_VEHICLES,
-) -> CrossCheckReport:
+def cross_check(scenario: Scenario) -> CrossCheckReport:
     """Search vs exhaustive optimum, both metrics, every connected ordered pair.
 
     Uses max_hops = vehicle count - 1, i.e. full simple-path enumeration, and
@@ -273,10 +270,9 @@ def cross_check(
     whatever it is, reported not promised.
     """
     n = len(scenario.vehicles)
-    if n > max_vehicles:
-        raise ValueError(f"scenario has {n} vehicles; the oracle bound is {max_vehicles}")
-    if graph is None:
-        graph = build_link_graph(scenario)
+    if n > ORACLE_MAX_VEHICLES:
+        raise ValueError(f"scenario has {n} vehicles; the oracle bound is {ORACLE_MAX_VEHICLES}")
+    graph = build_link_graph(scenario)
     max_hops = max(1, n - 1)
     report = CrossCheckReport(scenarios=1, connected_pairs=0)
     for source in sorted(graph.vehicle_ids):
@@ -289,7 +285,7 @@ def cross_check(
                     raise RuntimeError(
                         f"pair ({source}, {dest}) has a path but the search found none"
                     )
-                check.record(route.stats.cost(metric), optima[dest][metric].cost, tol)
+                check.record(route.stats.cost(metric), optima[dest][metric].cost)
     return report
 
 
@@ -299,7 +295,6 @@ def cross_check_batch(
     base_seed: int,
     min_vehicles: int,
     max_vehicles: int,
-    tol: float = 1e-9,
 ) -> CrossCheckReport:
     """Cross-check `count` generated scenarios, cycling vehicle counts over a range.
 
@@ -320,5 +315,5 @@ def cross_check_batch(
             seed=base_seed + i,
             vehicle_count=min_vehicles + (i % span),
         )
-        total.merge(cross_check(generate_scenario(spec), tol=tol))
+        total.merge(cross_check(generate_scenario(spec)))
     return total

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import settings
 
@@ -74,6 +76,22 @@ def assert_route_feasible(scenario, graph, route):
         assert hop.bandwidth == rx_radio.bandwidth
         prev = hop.vehicle_id
     assert prev == route.destination
+
+
+def naive_simple_paths(graph, source, dest, max_hops):
+    """Independent enumeration: try every permutation of intermediate vertices.
+
+    Returns every simple source-to-dest vehicle sequence of 1..max_hops
+    links, sorted. The oracle's reference in the tests.
+    """
+    others = [v for v in graph.vehicle_ids if v not in (source, dest)]
+    found = []
+    for k in range(0, max_hops):
+        for mid in permutations(others, k):
+            seq = (source, *mid, dest)
+            if all(graph.link(a, b) is not None for a, b in zip(seq, seq[1:])):
+                found.append(seq)
+    return sorted(found)
 
 
 def fleet_3000(seed, radios=2, channels=3):

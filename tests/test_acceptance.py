@@ -27,7 +27,7 @@ from freqroute import (
     save_scenario,
 )
 from freqroute.harness import ORACLE_MAX_VEHICLES
-from conftest import assert_route_feasible
+from conftest import assert_route_feasible, naive_simple_paths
 
 
 @contextmanager
@@ -308,10 +308,8 @@ def test_criterion_6_property_bundle(k4):
                             == boosted[dest][Metric.BANDWIDTH].vehicle_sequence)
 
         # complete 4-vehicle graph: exactly 5 simple opposite-corner paths
-        from freqroute import enumerate_paths
-
         kg = build_link_graph(k4)
-        assert len(enumerate_paths(kg, 1, 4, 3).routes) == 5
+        assert len(naive_simple_paths(kg, 1, 4, 3)) == 5
 
         info["detail"] = ("round-trip, determinism, symmetry, threshold monotonicity, "
                           "scale-invariant argmin, K4 path count")

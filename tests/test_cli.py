@@ -123,6 +123,17 @@ def test_route_same_endpoint(bridge, tmp_path, capsys):
     assert capsys.readouterr().out == "1\nhops=0 total_distance=0.0000\n"
 
 
+def test_route_prints_subnormal_p_value(tmp_path, capsys):
+    # p = 1/8e307 is a subnormal float; it is a valid route and prints as 0
+    radios = [(1, 1, 8e307)]
+    s = Scenario((10.0, 10.0), 5.0, (make_vehicle(1, 0, 0, radios), make_vehicle(2, 1, 0, radios)))
+    path = write_scenario(tmp_path, s)
+    assert cli.main(["route", "--scenario", path, "--src", "1", "--dst", "2",
+                     "--metric", "bandwidth"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"1→2\nhops=1 total_distance=1.0000 avg_bandwidth={8e307:.4f} p_value=0.0000\n"
+
+
 def test_route_unknown_vehicle(bridge, tmp_path, capsys):
     path = write_scenario(tmp_path, bridge)
     assert cli.main(["route", "--scenario", path, "--src", "99", "--dst", "2"]) == 2
@@ -252,7 +263,9 @@ def test_sweep_fixed_scenario(diamond, tmp_path, capsys):
 
 def test_sweep_src_requires_dst(capsys):
     assert cli.main(["sweep", "--rounds", "1", "--src", "1"]) == 2
-    assert "--src and --dst must be given together" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: source and dest must be given together\n"
 
 
 # --- validate --------------------------------------------------------------

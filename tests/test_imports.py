@@ -28,3 +28,29 @@ def test_imports_are_stdlib_only(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     outside = sorted(set(imported_top_levels(tree)) - sys.stdlib_module_names)
     assert outside == []
+
+
+def imported_package_modules(tree):
+    """Names of freqroute modules a parsed module imports, relatively or by the package name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "freqroute" and len(parts) > 1:
+                    yield parts[1]
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "freqroute":
+                continue
+            inner = parts if node.level else parts[1:]
+            if inner and inner[0]:
+                yield inner[0]
+            else:  # `from . import x` or `from freqroute import x`
+                yield from (alias.name for alias in node.names)
+
+
+def test_oracle_is_independent_of_the_search_it_checks():
+    # the oracle is the ground truth for astar and the harness; reading
+    # anything of theirs would let a fault in them hide in both answers
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    assert set(imported_package_modules(tree)) & {"router", "harness", "cli"} == set()

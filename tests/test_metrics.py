@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from itertools import permutations
 
 import pytest
@@ -15,10 +16,8 @@ from freqroute import (
     ScenarioValidationError,
     Vehicle,
     astar,
-    best_route,
     best_routes_from,
     build_link_graph,
-    enumerate_paths,
     generate_scenario,
     load_scenario,
     route_from_sequence,
@@ -42,11 +41,11 @@ def test_distance_f_at_goal(diamond, k4, bridge):
     for s in (diamond, k4, bridge):
         g = build_link_graph(s)
         for src, dst in ordered_pairs(g):
-            optimum = best_route(enumerate_paths(g, src, dst, len(s.vehicles) - 1), Metric.DISTANCE)
+            optima = best_routes_from(g, src, len(s.vehicles) - 1)
             r = astar(s, g, src, dst, Metric.DISTANCE)
-            assert (r is None) == (optimum is None)
+            assert (r is None) == (dst not in optima)
             if r is not None:
-                assert r.stats.total_distance == optimum.stats.total_distance
+                assert r.stats.total_distance == optima[dst][Metric.DISTANCE].cost
 
 
 def test_distance_f_adds_remaining_estimate():
@@ -259,6 +258,27 @@ def test_route_stats_slow_relay(diamond):
 def test_route_stats_rejects_zero_hops():
     with pytest.raises(ValueError):
         route_stats(Route(1, 1, ()))
+
+
+def test_subnormal_p_value_is_accepted():
+    # two vehicles 1 m apart with huge but finite bandwidths: the fleet's
+    # bandwidth sum stays in range, so the scenario loads, and p = 1/8e307
+    # falls below the smallest normal float. It is accepted, not rejected:
+    # it is still exact, positive and ordered, and the oracle's cost agrees
+    # with the search bit for bit
+    radio = {"id": 1, "freq": 1, "bw": 8e307}
+    doc = {"area": {"width": 10, "height": 10}, "comm_range": 5,
+           "vehicles": [{"id": vid, "x": x, "y": 0, "radios": [radio]} for vid, x in ((1, 0), (2, 1))]}
+    s = load_scenario(json.dumps(doc))
+    g = build_link_graph(s)
+    optimum = best_routes_from(g, 1, 1)[2][Metric.BANDWIDTH]
+    for metric in (Metric.DISTANCE, Metric.BANDWIDTH):
+        r = astar(s, g, 1, 2, metric)
+        assert r.vehicle_sequence == (1, 2)
+        assert r.stats.p_value == 1.25e-308
+        assert 0 < r.stats.p_value < sys.float_info.min
+        assert r.stats.p_value == optimum.cost
+    assert optimum.vehicle_sequence == (1, 2)
 
 
 def test_distance_heuristic_admissible(diamond):

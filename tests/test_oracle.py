@@ -1,110 +1,140 @@
-from itertools import permutations
-
 import pytest
 
 from freqroute import (
     GenSpec,
     Metric,
     Optimum,
-    PathSet,
     Scenario,
     astar,
-    best_route,
     best_routes_from,
     build_link_graph,
-    enumerate_paths,
     generate_scenario,
     route_from_sequence,
 )
-from conftest import assert_route_feasible, make_vehicle
+from conftest import assert_route_feasible, make_vehicle, naive_simple_paths
+
+
+def naive_optimum(graph, sequences, metric):
+    """The (cost, sequence) minimum over `sequences`, each costed by its materialized route."""
+    return Optimum(*min((route_from_sequence(graph, seq).stats.cost(metric), seq) for seq in sequences))
 
 
 def test_single_path_chain(bridge):
+    # 1 and 2 share no channel, so the only way between them is the bridge 3
     g = build_link_graph(bridge)
-    ps = enumerate_paths(g, 1, 2, 5)
-    assert [r.vehicle_sequence for r in ps.routes] == [(1, 3, 2)]
+    assert naive_simple_paths(g, 1, 2, 5) == [(1, 3, 2)]
+    stats = route_from_sequence(g, (1, 3, 2)).stats
+    optima = best_routes_from(g, 1, 5)
+    assert set(optima) == {2, 3}
+    for metric in tuple(Metric):
+        assert optima[2][metric] == Optimum(stats.cost(metric), (1, 3, 2))
 
 
 def test_two_relay_paths_within_three_hops(diamond):
     g = build_link_graph(diamond)
-    ps = enumerate_paths(g, 1, 4, 3)
-    assert [r.vehicle_sequence for r in ps.routes] == [
-        (1, 2, 3, 4),
-        (1, 2, 4),
-        (1, 3, 2, 4),
-        (1, 3, 4),
-    ]
+    paths = naive_simple_paths(g, 1, 4, 3)
+    assert paths == [(1, 2, 3, 4), (1, 2, 4), (1, 3, 2, 4), (1, 3, 4)]
+    optima = best_routes_from(g, 1, 3)
+    for metric in tuple(Metric):
+        assert optima[4][metric] == naive_optimum(g, paths, metric)
 
 
 def test_two_relay_paths_within_two_hops(diamond):
     g = build_link_graph(diamond)
-    ps = enumerate_paths(g, 1, 4, 2)
-    assert [r.vehicle_sequence for r in ps.routes] == [(1, 2, 4), (1, 3, 4)]
+    assert naive_simple_paths(g, 1, 4, 2) == [(1, 2, 4), (1, 3, 4)]
+    optima = best_routes_from(g, 1, 2)
+    assert set(optima) == {2, 3, 4}
+    for dest in optima:
+        paths = naive_simple_paths(g, 1, dest, 2)
+        for metric in tuple(Metric):
+            assert optima[dest][metric] == naive_optimum(g, paths, metric)
 
 
 def test_hop_cap_excludes_everything(diamond):
+    # 1 and 4 are 300 m apart, beyond range: one hop reaches only the relays
     g = build_link_graph(diamond)
-    assert enumerate_paths(g, 1, 4, 1).routes == ()
+    optima = best_routes_from(g, 1, 1)
+    assert set(optima) == {2, 3}
+    for relay in (2, 3):
+        link = g.link(1, relay)
+        assert optima[relay][Metric.DISTANCE] == Optimum(link.distance, (1, relay))
+        assert optima[relay][Metric.BANDWIDTH] == Optimum(link.distance / link.bandwidth, (1, relay))
 
 
 def test_disconnected_pair_is_empty(bridge):
+    # without the bridging vehicle 3 nothing links 1 and 2
     s = Scenario(bridge.area, bridge.comm_range, bridge.vehicles[:2])
     g = build_link_graph(s)
-    assert enumerate_paths(g, 1, 2, 5).routes == ()
+    assert naive_simple_paths(g, 1, 2, 5) == []
+    assert best_routes_from(g, 1, 5) == {}
+    assert best_routes_from(g, 2, 5) == {}
 
 
-def test_source_equals_dest_zero_hop(diamond):
-    g = build_link_graph(diamond)
-    ps = enumerate_paths(g, 2, 2, 3)
-    assert len(ps.routes) == 1 and ps.routes[0].hops == ()
+def test_source_is_never_a_destination(diamond, k4):
+    # only simple paths are walked, so none comes back to its source,
+    # even where the graph has cycles through it
+    for s in (diamond, k4):
+        g = build_link_graph(s)
+        for src in g.vehicle_ids:
+            assert set(best_routes_from(g, src, 3)) == set(g.vehicle_ids) - {src}
 
 
 def test_bad_arguments(diamond):
     g = build_link_graph(diamond)
-    with pytest.raises(ValueError):
-        enumerate_paths(g, 1, 4, 0)
-    with pytest.raises(ValueError, match="unknown vehicle id"):
-        enumerate_paths(g, 1, 99, 3)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_hops must be >= 1"):
+            best_routes_from(g, 1, cap)
+    with pytest.raises(ValueError, match="unknown vehicle id: 99"):
+        best_routes_from(g, 99, 3)
 
 
 def test_complete_graph_path_count(k4):
     g = build_link_graph(k4)
-    ps = enumerate_paths(g, 1, 4, 3)
-    assert len(ps.routes) == 5
+    paths = naive_simple_paths(g, 1, 4, 3)
+    assert len(paths) == 5
+    optima = best_routes_from(g, 1, 3)
+    for metric in tuple(Metric):
+        assert optima[4][metric] == naive_optimum(g, paths, metric)
 
 
 def test_enumerated_paths_are_feasible(diamond, k4):
+    # every kept optimum is a real route whose stats give back its cost bit
+    # for bit, and so is every path the reference enumerates
     for s in (diamond, k4):
         g = build_link_graph(s)
-        for r in enumerate_paths(g, 1, 4, 3).routes:
-            assert_route_feasible(s, g, r)
+        for src in g.vehicle_ids:
+            for dest, by_metric in best_routes_from(g, src, 3).items():
+                for metric, optimum in by_metric.items():
+                    route = route_from_sequence(g, optimum.vehicle_sequence)
+                    assert route.destination == dest
+                    assert_route_feasible(s, g, route)
+                    assert route.stats.cost(metric) == optimum.cost
+        for seq in naive_simple_paths(g, 1, 4, 3):
+            assert_route_feasible(s, g, route_from_sequence(g, seq))
 
 
 def test_best_route_under_each_metric(diamond):
     g = build_link_graph(diamond)
-    ps = enumerate_paths(g, 1, 4, 3)
-    assert best_route(ps, Metric.DISTANCE).vehicle_sequence == (1, 2, 4)
-    assert best_route(ps, Metric.BANDWIDTH).vehicle_sequence == (1, 3, 4)
-
-
-def test_best_route_empty_set():
-    ps = PathSet((), 1, 2, 3)
-    assert best_route(ps, Metric.DISTANCE) is None
+    optima = best_routes_from(g, 1, 3)[4]
+    assert optima[Metric.DISTANCE] == Optimum(300.0, (1, 2, 4))
+    fast = route_from_sequence(g, (1, 3, 4)).stats
+    assert optima[Metric.BANDWIDTH] == Optimum(fast.p_value, (1, 3, 4))
 
 
 def test_best_distance_bounds_every_path(diamond, k4):
     for s in (diamond, k4):
         g = build_link_graph(s)
-        ps = enumerate_paths(g, 1, 4, 3)
-        best = best_route(ps, Metric.DISTANCE).stats.total_distance
-        for r in ps.routes:
-            assert best <= r.stats.total_distance
+        for src in g.vehicle_ids:
+            optima = best_routes_from(g, src, 3)
+            for dest in optima:
+                for seq in naive_simple_paths(g, src, dest, 3):
+                    stats = route_from_sequence(g, seq).stats
+                    for metric in tuple(Metric):
+                        assert optima[dest][metric].cost <= stats.cost(metric)
 
 
 def test_best_route_tie_breaks_lexicographically():
     # mirror-image relays: both two-hop paths cost the same under both metrics
-    from conftest import make_vehicle
-
     s = Scenario(
         (400.0, 400.0), 150.0,
         (
@@ -115,21 +145,9 @@ def test_best_route_tie_breaks_lexicographically():
         ),
     )
     g = build_link_graph(s)
-    ps = enumerate_paths(g, 1, 4, 3)
-    for metric in (Metric.DISTANCE, Metric.BANDWIDTH):
-        assert best_route(ps, metric).vehicle_sequence == (1, 2, 4)
-
-
-def naive_simple_paths(graph, source, dest, max_hops):
-    """Independent enumeration: try every permutation of intermediate vertices."""
-    others = [v for v in graph.vehicle_ids if v not in (source, dest)]
-    found = []
-    for k in range(0, max_hops):
-        for mid in permutations(others, k):
-            seq = (source, *mid, dest)
-            if all(graph.link(a, b) is not None for a, b in zip(seq, seq[1:])):
-                found.append(seq)
-    return sorted(found)
+    for src, dst, smaller in ((1, 4, (1, 2, 4)), (4, 1, (4, 2, 1))):
+        for metric in (Metric.DISTANCE, Metric.BANDWIDTH):
+            assert best_routes_from(g, src, 3)[dst][metric].vehicle_sequence == smaller
 
 
 def test_matches_independent_enumeration():
@@ -147,48 +165,18 @@ def test_matches_independent_enumeration():
         )
         g = build_link_graph(s)
         for max_hops in (2, 5):
-            ps = enumerate_paths(g, 1, 6, max_hops)
-            got = [r.vehicle_sequence for r in ps.routes]
-            assert got == naive_simple_paths(g, 1, 6, max_hops)
-            assert got == sorted(got)  # lexicographic output order
-
-
-def test_best_routes_from_agrees_with_per_pair_queries():
-    for seed in (3, 8):
-        s = generate_scenario(
-            GenSpec(
-                seed=seed,
-                vehicle_count=7,
-                area=(400.0, 400.0),
-                comm_range=200.0,
-                radios_per_vehicle=1,
-                frequency_pool=(1,),
-                bandwidth_range=(2.0, 10.0),
-            )
-        )
-        g = build_link_graph(s)
-        max_hops = len(s.vehicles) - 1
-        sweep = best_routes_from(g, 1, max_hops)
-        reached = set()
-        for dest in g.vehicle_ids:
-            if dest == 1:
-                continue
-            ps = enumerate_paths(g, 1, dest, max_hops)
-            if not ps.routes:
-                assert dest not in sweep
-                continue
-            reached.add(dest)
-            for metric in tuple(Metric):
-                expected = best_route(ps, metric)
-                assert sweep[dest][metric] == Optimum(expected.stats.cost(metric), expected.vehicle_sequence)
-        assert set(sweep) == reached
+            optima = best_routes_from(g, 1, max_hops)
+            for dest in range(2, 7):
+                paths = naive_simple_paths(g, 1, dest, max_hops)
+                assert (dest in optima) == bool(paths)
+                for metric in tuple(Metric) if paths else ():
+                    assert optima[dest][metric] == naive_optimum(g, paths, metric)
 
 
 def test_search_route_is_always_enumerated(diamond):
     # whatever the search returns is one of the exhaustively enumerated paths
     g = build_link_graph(diamond)
-    ps = enumerate_paths(g, 1, 4, 3)
-    sequences = {r.vehicle_sequence for r in ps.routes}
+    sequences = set(naive_simple_paths(g, 1, 4, 3))
     for metric in (Metric.DISTANCE, Metric.BANDWIDTH):
         assert astar(diamond, g, 1, 4, metric).vehicle_sequence in sequences
 
