@@ -61,28 +61,26 @@ def _freq_list(text: str) -> tuple[int, ...]:
     return pool
 
 
-def _add_gen_flags(parser, *, vehicles=30, area=(1000.0, 1000.0), comm_range=200.0,
-                   radios=1, freqs=(1,), bw=(2.0, 10.0), seed=0):
-    parser.add_argument("--seed", type=int, default=seed,
-                        help=f"generation seed (default {seed})")
+def _add_gen_flags(parser, *, vehicles, area):
+    parser.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
     parser.add_argument("--vehicles", type=_positive_int, default=vehicles,
                         help=f"number of vehicles (default {vehicles})")
     parser.add_argument("--area", type=_positive_float, nargs=2, metavar=("W", "H"),
                         default=list(area), help=f"area size in meters (default {area[0]:g} {area[1]:g})")
-    parser.add_argument("--range", dest="comm_range", type=_positive_float, default=comm_range,
-                        help=f"communication range in meters (default {comm_range:g})")
-    parser.add_argument("--radios", type=_positive_int, default=radios,
-                        help=f"radios per vehicle (default {radios})")
-    parser.add_argument("--freqs", type=_freq_list, default=tuple(freqs),
-                        help="comma-separated channel pool (default %s)" % ",".join(str(f) for f in freqs))
+    parser.add_argument("--range", dest="comm_range", type=_positive_float, default=200.0,
+                        help="communication range in meters (default 200)")
+    parser.add_argument("--radios", type=_positive_int, default=1,
+                        help="radios per vehicle (default 1)")
+    parser.add_argument("--freqs", type=_freq_list, default=(1,),
+                        help="comma-separated channel pool (default 1)")
     parser.add_argument("--bw", type=_positive_float, nargs=2, metavar=("MIN", "MAX"),
-                        default=list(bw), help=f"bandwidth range in kb/s (default {bw[0]:g} {bw[1]:g})")
+                        default=[2.0, 10.0], help="bandwidth range in kb/s (default 2 10)")
 
 
-def _genspec(args, vehicle_count=None) -> GenSpec:
+def _genspec(args) -> GenSpec:
     return GenSpec(
         seed=args.seed,
-        vehicle_count=vehicle_count if vehicle_count is not None else args.vehicles,
+        vehicle_count=args.vehicles,
         area=tuple(args.area),
         comm_range=args.comm_range,
         radios_per_vehicle=args.radios,
@@ -142,9 +140,9 @@ def cmd_compare(args) -> int:
         # link feasibility does not depend on the metric, so it is both or neither
         print("NO ROUTE")
         return EXIT_NO_ROUTE
+    named = (("distance", report.distance_route), ("bandwidth", report.bandwidth_route))
     print(f"{'metric':<10} {'route':<28} hops  total_distance  avg_bandwidth  p_value")
-    for name, route in (("distance", report.distance_route),
-                        ("bandwidth", report.bandwidth_route)):
+    for name, route in named:
         s = route.stats
         print(f"{name:<10} {_fmt_route(route):<28} {s.hops:<5} "
               f"{s.total_distance:<15.4f} {s.avg_bandwidth:<14.4f} {s.p_value:.4f}")
@@ -154,11 +152,7 @@ def cmd_compare(args) -> int:
           + ("ok" if report.p_ordering_ok else "VIOLATED"))
     if args.csv:
         lines = ["metric,found,hops,total_distance,avg_bandwidth,p_value"]
-        for name, route in (("distance", report.distance_route),
-                            ("bandwidth", report.bandwidth_route)):
-            s = route.stats
-            lines.append(f"{name},"
-                         + route_csv_fields(s.hops, s.total_distance, s.avg_bandwidth, s.p_value))
+        lines += [f"{name},{route_csv_fields(route.stats)}" for name, route in named]
         Path(args.csv).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -189,9 +183,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.scenario is None and args.batch is None:
-        print("error: pass --scenario or --batch", file=sys.stderr)
-        return EXIT_INVALID
     if args.scenario is not None:
         report = cross_check(_load(args.scenario))
     else:
@@ -217,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a random scenario file")
-    _add_gen_flags(gen)
+    _add_gen_flags(gen, vehicles=30, area=(1000.0, 1000.0))
     gen.add_argument("--out", required=True, help="output scenario path")
     gen.add_argument("--force", action="store_true", help="overwrite an existing file")
     gen.set_defaults(func=cmd_gen)
@@ -240,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run repeated rounds over generated scenarios")
     sweep.add_argument("--rounds", type=_positive_int, default=30,
                        help="number of rounds (default 30)")
-    _add_gen_flags(sweep)
+    _add_gen_flags(sweep, vehicles=30, area=(1000.0, 1000.0))
     sweep.add_argument("--scenario", help="use a fixed scenario file instead of generating")
     sweep.add_argument("--src", type=int, help="fixed source vehicle id")
     sweep.add_argument("--dst", type=int, help="fixed destination vehicle id")
@@ -252,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check search results against exhaustive enumeration "
              f"(scenarios up to {ORACLE_MAX_VEHICLES} vehicles)",
     )
-    validate.add_argument("--scenario", help="scenario JSON file to check")
-    validate.add_argument("--batch", type=_positive_int,
-                          help="instead generate and check this many scenarios")
+    mode = validate.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--scenario", help="scenario JSON file to check")
+    mode.add_argument("--batch", type=_positive_int,
+                      help="instead generate and check this many scenarios")
     _add_gen_flags(validate, vehicles=8, area=(500.0, 500.0))
     validate.add_argument("--vehicles-max", type=_positive_int, default=None,
                           help="cycle vehicle counts from --vehicles up to this")
@@ -267,14 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, KeyError) as exc:
-        # str(KeyError) wraps the message in quotes; unwrap for readable output
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from statistics import fmean
 
-from .metrics import Metric
+from .metrics import Metric, RouteStats
 from .model import GenSpec, Scenario, generate_scenario
 from .oracle import best_routes_from
 from .router import Route, astar
@@ -71,9 +71,9 @@ class CompareReport:
 def compare_routes(
     scenario: Scenario, graph: LinkGraph, source: int, dest: int
 ) -> CompareReport:
-    """Route source to dest under both metrics; equal endpoints have no hops to compare."""
+    """The one place a query is answered under both metrics; equal endpoints raise ValueError."""
     if source == dest:
-        raise ValueError("source and dest must differ in a comparison")
+        raise ValueError("source and dest must differ")
     return CompareReport(
         source,
         dest,
@@ -89,33 +89,23 @@ SWEEP_CSV_HEADER = "round,seed,metric,found,hops,total_distance,avg_bandwidth,p_
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One metric's answer in one sweep round; `stats` is None when the round has no route."""
+
     round: int
     seed: int
     metric: str
-    found: bool
-    hops: int | None = None
-    total_distance: float | None = None
-    avg_bandwidth: float | None = None
-    p_value: float | None = None
+    stats: RouteStats | None
 
 
 def _rows_for_query(round_no, seed, scenario, graph, source, dest) -> list[SweepRow]:
-    rows = []
-    for metric in METRICS:
-        route = None
-        if source is not None and dest is not None:
-            route = astar(scenario, graph, source, dest, metric)
-        if route is None or not route.hops:
-            rows.append(SweepRow(round_no, seed, metric.value, False))
-        else:
-            s = route.stats
-            rows.append(
-                SweepRow(
-                    round_no, seed, metric.value, True,
-                    s.hops, s.total_distance, s.avg_bandwidth, s.p_value,
-                )
-            )
-    return rows
+    routes = (None, None)
+    if source is not None:
+        report = compare_routes(scenario, graph, source, dest)
+        routes = (report.distance_route, report.bandwidth_route)
+    return [
+        SweepRow(round_no, seed, metric.value, None if route is None else route.stats)
+        for metric, route in zip(METRICS, routes)
+    ]
 
 
 def _check_sweep_args(rounds: int, source: int | None, dest: int | None) -> None:
@@ -123,8 +113,6 @@ def _check_sweep_args(rounds: int, source: int | None, dest: int | None) -> None
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if (source is None) != (dest is None):
         raise ValueError("source and dest must be given together")
-    if source is not None and source == dest:
-        raise ValueError("source and dest must differ in a sweep")
 
 
 def _endpoints(graph: LinkGraph, source: int | None, dest: int | None):
@@ -144,7 +132,7 @@ def run_sweep(
     """One generated scenario per round (seed = base_seed + round), both metrics queried.
 
     Endpoints default to each round's lowest-id connected pair; a round with no
-    connected pair at all yields found=false rows. Fixed endpoints that do not
+    connected pair at all yields rows without stats. Fixed endpoints that do not
     exist in some round raise, since the round count is part of the id space.
     """
     _check_sweep_args(rounds, source, dest)
@@ -174,9 +162,9 @@ def run_sweep_fixed(
     return rows
 
 
-def route_csv_fields(hops: int, total_distance: float, avg_bandwidth: float, p_value: float) -> str:
+def route_csv_fields(stats: RouteStats) -> str:
     """A found route's found,hops,total_distance,avg_bandwidth,p_value CSV columns, 4 decimals."""
-    return f"true,{hops},{total_distance:.4f},{avg_bandwidth:.4f},{p_value:.4f}"
+    return f"true,{stats.hops},{stats.total_distance:.4f},{stats.avg_bandwidth:.4f},{stats.p_value:.4f}"
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
@@ -187,10 +175,7 @@ def sweep_csv(rows: list[SweepRow]) -> str:
     """
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
-        if row.found:
-            fields = route_csv_fields(row.hops, row.total_distance, row.avg_bandwidth, row.p_value)
-        else:
-            fields = "false,,,,"
+        fields = "false,,,," if row.stats is None else route_csv_fields(row.stats)
         lines.append(f"{row.round},{row.seed},{row.metric},{fields}")
     return "\n".join(lines) + "\n"
 
@@ -199,13 +184,12 @@ def summarize_sweep(rows: list[SweepRow]) -> dict[str, dict[str, float]]:
     """Per metric: how many rounds produced a route, and the column means over those."""
     out: dict[str, dict[str, float]] = {}
     for metric in METRICS:
-        found = [r for r in rows if r.metric == metric.value and r.found]
+        found = [r.stats for r in rows if r.metric == metric.value and r.stats is not None]
         summary: dict[str, float] = {"rounds_with_route": len(found)}
         if found:
-            summary["mean_hops"] = fmean(r.hops for r in found)
-            summary["mean_total_distance"] = fmean(r.total_distance for r in found)
-            summary["mean_avg_bandwidth"] = fmean(r.avg_bandwidth for r in found)
-            summary["mean_p_value"] = fmean(r.p_value for r in found)
+            summary["mean_total_distance"] = fmean(s.total_distance for s in found)
+            summary["mean_avg_bandwidth"] = fmean(s.avg_bandwidth for s in found)
+            summary["mean_p_value"] = fmean(s.p_value for s in found)
         out[metric.value] = summary
     return out
 

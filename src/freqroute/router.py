@@ -92,10 +92,8 @@ def astar(
         f, vid = heappop(frontier)
         if vid in closed:
             continue
+        closed.add(vid)  # re-pushes carry a strictly smaller f: the newest entry pops first
         node = best[vid]
-        if f != node[0]:
-            continue  # stale heap entry, superseded by a cheaper rediscovery
-        closed.add(vid)
         if vid == dest:
             return _reconstruct(best, source, dest)
         dist_sum, bw_sum = node[1], node[2]

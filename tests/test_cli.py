@@ -63,10 +63,22 @@ def test_gen_custom_flags(tmp_path):
             assert 1.0 <= r.bandwidth <= 2.0
 
 
-def test_gen_rejects_nonpositive_counts(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["gen", "--out", str(tmp_path / "x.json"), "--vehicles", "0"])
-    assert exc.value.code == 2
+def test_gen_rejects_nonpositive_counts(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for flags, message in (
+        (["--vehicles", "0"], "argument --vehicles: expected a positive integer, got 0"),
+        (["--vehicles", "x"], "argument --vehicles: expected an integer, got 'x'"),
+        (["--area", "400", "x"], "argument --area: expected a number, got 'x'"),
+        (["--freqs", "1,a"], "argument --freqs: expected comma-separated integers, got '1,a'"),
+        (["--freqs", ","], "argument --freqs: frequency list must not be empty"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "--out", str(out)] + flags)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"freqroute gen: error: {message}\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -151,6 +163,11 @@ def test_route_malformed_json(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli.main(["route", "--scenario", str(bad), "--src", "1", "--dst", "2"]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+    bad.write_bytes(b"\xff{")
+    assert cli.main(["route", "--scenario", str(bad), "--src", "1", "--dst", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
 
 
 def test_route_rejects_invalid_scenario(tmp_path, capsys):
@@ -216,7 +233,7 @@ def test_compare_same_endpoint_rejected_before_output(diamond, tmp_path, capsys)
     assert cli.main(["compare", "--scenario", path, "--src", "3", "--dst", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: source and dest must differ in a comparison\n"
+    assert captured.err == "error: source and dest must differ\n"
 
 
 # --- sweep -----------------------------------------------------------------
@@ -234,6 +251,15 @@ def test_sweep_stdout(capsys):
     assert [r[2] for r in rows] == ["distance", "bandwidth"] * 2
     assert lines[5].startswith("distance: rounds_with_route=")
     assert lines[6].startswith("bandwidth: rounds_with_route=")
+    # two vehicles far out of range: no round has a route
+    assert cli.main(["sweep", "--rounds", "1", "--vehicles", "2", "--area", "5000", "5000",
+                     "--range", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "1,1,distance,false,,,,",
+        "1,1,bandwidth,false,,,,",
+        "distance: rounds_with_route=0",
+        "bandwidth: rounds_with_route=0",
+    ]
 
 
 def test_sweep_csv_reproducible(tmp_path, capsys):
@@ -266,6 +292,11 @@ def test_sweep_src_requires_dst(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: source and dest must be given together\n"
+    # equal endpoints are refused by the first round's query
+    assert cli.main(["sweep", "--rounds", "1", "--src", "2", "--dst", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: source and dest must differ\n"
 
 
 # --- validate --------------------------------------------------------------
@@ -322,6 +353,15 @@ def test_validate_refuses_oversized_scenario(tmp_path, capsys):
     )
 
 
-def test_validate_requires_a_mode(capsys):
-    assert cli.main(["validate"]) == 2
-    assert "pass --scenario or --batch" in capsys.readouterr().err
+def test_validate_requires_a_mode(diamond, tmp_path, capsys):
+    path = write_scenario(tmp_path, diamond)
+    for flags, message in (
+        ([], "one of the arguments --scenario --batch is required"),
+        (["--scenario", path, "--batch", "2"], "argument --batch: not allowed with argument --scenario"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate"] + flags)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"freqroute validate: error: {message}\n")

@@ -147,8 +147,8 @@ def test_sweep_csv_format():
 def test_sweep_unreachable_round_recorded_empty():
     t = template(vehicle_count=2, area=(5000.0, 5000.0), comm_range=1.0)
     rows = run_sweep(t, rounds=2, base_seed=1)
-    assert all(not r.found for r in rows)
-    assert all(r.hops is None and r.total_distance is None for r in rows)
+    assert len(rows) == 4
+    assert all(r.stats is None for r in rows)
     for line in sweep_csv(rows).splitlines()[1:]:
         assert line.endswith("false,,,,")
 
@@ -158,41 +158,43 @@ def test_sweep_fixed_matches_compare(diamond):
     rep = compare_routes(diamond, g, 1, 4)
     rows = run_sweep_fixed(diamond, rounds=1, source=1, dest=4)
     assert rows[0].seed == 0 and rows[1].seed == 0
-    by_metric = {r.metric: r for r in rows}
-    assert by_metric["distance"].total_distance == rep.distance_route.stats.total_distance
-    assert by_metric["distance"].avg_bandwidth == rep.distance_route.stats.avg_bandwidth
-    assert by_metric["bandwidth"].p_value == rep.bandwidth_route.stats.p_value
-    assert by_metric["bandwidth"].hops == rep.bandwidth_route.stats.hops
+    by_metric = {r.metric: r.stats for r in rows}
+    assert by_metric == {"distance": rep.distance_route.stats,
+                         "bandwidth": rep.bandwidth_route.stats}
 
 
 def test_sweep_fixed_auto_picks_pair(diamond):
     rows = run_sweep_fixed(diamond, rounds=1)
     g = build_link_graph(diamond)
     r = astar(diamond, g, 1, 2, Metric.DISTANCE)
-    assert rows[0].total_distance == r.stats.total_distance
+    assert rows[0].stats == r.stats
 
 
 def test_sweep_rejects_equal_endpoints(diamond):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^source and dest must differ$"):
         run_sweep_fixed(diamond, rounds=1, source=1, dest=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^source and dest must differ$"):
         run_sweep(template(), rounds=1, base_seed=0, source=2, dest=2)
 
 
 def test_sweep_rejects_half_specified_endpoints(diamond):
     with pytest.raises(ValueError):
         run_sweep_fixed(diamond, rounds=1, source=1, dest=None)
+    with pytest.raises(ValueError, match="^rounds must be >= 1, got 0$"):
+        run_sweep(template(), rounds=0, base_seed=0)
 
 
 def test_summarize_sweep():
     rows = run_sweep(template(), rounds=6, base_seed=500)
     summary = summarize_sweep(rows)
     for name in ("distance", "bandwidth"):
-        found = [r for r in rows if r.metric == name and r.found]
+        found = [r.stats for r in rows if r.metric == name and r.stats is not None]
         s = summary[name]
+        assert set(s) == {"rounds_with_route", "mean_total_distance",
+                          "mean_avg_bandwidth", "mean_p_value"}
         assert s["rounds_with_route"] == len(found)
         assert s["mean_avg_bandwidth"] == pytest.approx(
-            sum(r.avg_bandwidth for r in found) / len(found)
+            sum(f.avg_bandwidth for f in found) / len(found)
         )
 
 

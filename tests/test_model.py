@@ -340,6 +340,14 @@ def test_load_wrong_types():
     with pytest.raises(ScenarioFormatError, match="vehicles: expected a list"):
         load_scenario(json.dumps(bad))
     bad = json.loads(json.dumps(base))
+    bad["area"] = 5
+    with pytest.raises(ScenarioFormatError, match="^area: expected an object$"):
+        load_scenario(json.dumps(bad))
+    bad = json.loads(json.dumps(base))
+    bad["vehicles"][0]["radios"] = {}
+    with pytest.raises(ScenarioFormatError, match=r"^vehicles\[0\]\.radios: expected a list$"):
+        load_scenario(json.dumps(bad))
+    bad = json.loads(json.dumps(base))
     bad["comm_range"] = True
     with pytest.raises(ScenarioFormatError, match="comm_range: expected a number"):
         load_scenario(json.dumps(bad))
