@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from .harness import (
@@ -61,20 +62,34 @@ def _freq_list(text: str) -> tuple[int, ...]:
     return pool
 
 
+class _GenFlag(argparse.Action):
+    """Stores a generation flag's value and notes, in order, that the flag was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.gen_flags_given = (*namespace.gen_flags_given, self.option_strings[0])
+
+
 def _add_gen_flags(parser, *, vehicles, area):
-    parser.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
-    parser.add_argument("--vehicles", type=_positive_int, default=vehicles,
-                        help=f"number of vehicles (default {vehicles})")
-    parser.add_argument("--area", type=_positive_float, nargs=2, metavar=("W", "H"),
-                        default=list(area), help=f"area size in meters (default {area[0]:g} {area[1]:g})")
-    parser.add_argument("--range", dest="comm_range", type=_positive_float, default=200.0,
-                        help="communication range in meters (default 200)")
-    parser.add_argument("--radios", type=_positive_int, default=1,
-                        help="radios per vehicle (default 1)")
-    parser.add_argument("--freqs", type=_freq_list, default=(1,),
-                        help="comma-separated channel pool (default 1)")
-    parser.add_argument("--bw", type=_positive_float, nargs=2, metavar=("MIN", "MAX"),
-                        default=[2.0, 10.0], help="bandwidth range in kb/s (default 2 10)")
+    parser.set_defaults(gen_flags_given=())
+    add = partial(parser.add_argument, action=_GenFlag)
+    add("--seed", type=int, default=0, help="generation seed (default 0)")
+    add("--vehicles", type=_positive_int, default=vehicles,
+        help=f"number of vehicles (default {vehicles})")
+    add("--area", type=_positive_float, nargs=2, metavar=("W", "H"),
+        default=list(area), help=f"area size in meters (default {area[0]:g} {area[1]:g})")
+    add("--range", dest="comm_range", type=_positive_float, default=200.0,
+        help="communication range in meters (default 200)")
+    add("--radios", type=_positive_int, default=1, help="radios per vehicle (default 1)")
+    add("--freqs", type=_freq_list, default=(1,), help="comma-separated channel pool (default 1)")
+    add("--bw", type=_positive_float, nargs=2, metavar=("MIN", "MAX"),
+        default=[2.0, 10.0], help="bandwidth range in kb/s (default 2 10)")
+
+
+def _refuse_gen_flags(args) -> None:
+    """A fixed --scenario is not generated, so a generation flag given with it is an error."""
+    if args.gen_flags_given:
+        raise ValueError(f"{args.gen_flags_given[0]} cannot be used with --scenario")
 
 
 def _genspec(args) -> GenSpec:
@@ -159,6 +174,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.scenario:
+        _refuse_gen_flags(args)
         scenario = _load(args.scenario)
         rows = run_sweep_fixed(scenario, args.rounds, args.src, args.dst)
     else:
@@ -184,6 +200,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     if args.scenario is not None:
+        _refuse_gen_flags(args)
         report = cross_check(_load(args.scenario))
     else:
         vmax = args.vehicles_max if args.vehicles_max is not None else args.vehicles
@@ -248,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--batch", type=_positive_int,
                       help="instead generate and check this many scenarios")
     _add_gen_flags(validate, vehicles=8, area=(500.0, 500.0))
-    validate.add_argument("--vehicles-max", type=_positive_int, default=None,
+    validate.add_argument("--vehicles-max", action=_GenFlag, type=_positive_int, default=None,
                           help="cycle vehicle counts from --vehicles up to this")
     validate.set_defaults(func=cmd_validate)
 

@@ -22,14 +22,14 @@ METRICS = (Metric.DISTANCE, Metric.BANDWIDTH)
 def lowest_connected_pair(graph: LinkGraph) -> tuple[int, int] | None:
     """First ordered id pair (lexicographically) whose vehicles can reach each other.
 
-    Components come ordered by their smallest id, so the pair is the two
-    smallest ids of the first component with more than one vehicle.
+    Every id below the first vehicle with a link is isolated, so that vehicle
+    is the smallest id of its component and pairs with the smallest other id
+    it reaches.
     """
-    for members in graph.components():
-        if len(members) > 1:
-            a, b = sorted(members)[:2]
-            return a, b
-    return None
+    first = min((vid for vid in graph.vehicle_ids if graph.neighbors(vid)), default=None)
+    if first is None:
+        return None
+    return first, min(graph.reachable(first) - {first})
 
 
 # --- metric comparison -----------------------------------------------------
@@ -71,7 +71,7 @@ class CompareReport:
 def compare_routes(
     scenario: Scenario, graph: LinkGraph, source: int, dest: int
 ) -> CompareReport:
-    """The one place a query is answered under both metrics; equal endpoints raise ValueError."""
+    """Answer one `compare` or `sweep` query under both metrics; equal endpoints raise ValueError."""
     if source == dest:
         raise ValueError("source and dest must differ")
     return CompareReport(
@@ -97,7 +97,18 @@ class SweepRow:
     stats: RouteStats | None
 
 
-def _rows_for_query(round_no, seed, scenario, graph, source, dest) -> list[SweepRow]:
+def _check_sweep_args(rounds: int, source: int | None, dest: int | None) -> None:
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if (source is None) != (dest is None):
+        raise ValueError("source and dest must be given together")
+
+
+def _round(round_no, seed, scenario, source, dest) -> list[SweepRow]:
+    """One round's two rows: endpoints default to the graph's lowest connected pair, if any."""
+    graph = build_link_graph(scenario)
+    if source is None:
+        source, dest = lowest_connected_pair(graph) or (None, None)
     routes = (None, None)
     if source is not None:
         report = compare_routes(scenario, graph, source, dest)
@@ -106,20 +117,6 @@ def _rows_for_query(round_no, seed, scenario, graph, source, dest) -> list[Sweep
         SweepRow(round_no, seed, metric.value, None if route is None else route.stats)
         for metric, route in zip(METRICS, routes)
     ]
-
-
-def _check_sweep_args(rounds: int, source: int | None, dest: int | None) -> None:
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if (source is None) != (dest is None):
-        raise ValueError("source and dest must be given together")
-
-
-def _endpoints(graph: LinkGraph, source: int | None, dest: int | None):
-    """The fixed endpoints if given, else the graph's lowest connected pair, else (None, None)."""
-    if source is not None:
-        return source, dest
-    return lowest_connected_pair(graph) or (None, None)
 
 
 def run_sweep(
@@ -140,9 +137,7 @@ def run_sweep(
     for r in range(1, rounds + 1):
         seed = base_seed + r
         scenario = generate_scenario(replace(template, seed=seed))
-        graph = build_link_graph(scenario)
-        src, dst = _endpoints(graph, source, dest)
-        rows.extend(_rows_for_query(r, seed, scenario, graph, src, dst))
+        rows.extend(_round(r, seed, scenario, source, dest))
     return rows
 
 
@@ -152,14 +147,10 @@ def run_sweep_fixed(
     source: int | None = None,
     dest: int | None = None,
 ) -> list[SweepRow]:
-    """Sweep rows against one fixed scenario; the seed column records 0."""
+    """One fixed scenario's query, answered once; its two rows repeat per round, seed 0."""
     _check_sweep_args(rounds, source, dest)
-    graph = build_link_graph(scenario)
-    src, dst = _endpoints(graph, source, dest)
-    rows: list[SweepRow] = []
-    for r in range(1, rounds + 1):
-        rows.extend(_rows_for_query(r, 0, scenario, graph, src, dst))
-    return rows
+    rows = _round(1, 0, scenario, source, dest)
+    return [replace(row, round=r) for r in range(1, rounds + 1) for row in rows]
 
 
 def route_csv_fields(stats: RouteStats) -> str:

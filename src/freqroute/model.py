@@ -75,18 +75,11 @@ class Scenario:
     def _by_id(self) -> dict[int, Vehicle]:
         return {v.vehicle_id: v for v in self.vehicles}
 
-    def __contains__(self, vehicle_id: int) -> bool:
-        return vehicle_id in self._by_id
-
     def vehicle(self, vehicle_id: int) -> Vehicle:
         try:
             return self._by_id[vehicle_id]
         except KeyError:
             raise KeyError(f"unknown vehicle id: {vehicle_id}") from None
-
-    @property
-    def vehicle_ids(self) -> tuple[int, ...]:
-        return tuple(v.vehicle_id for v in self.vehicles)
 
 
 def _size_problem(name: str, value: float) -> str | None:

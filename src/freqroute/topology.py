@@ -79,18 +79,6 @@ class LinkGraph:
                     queue.append(l.to_vehicle)
         return seen
 
-    def components(self) -> list[set[int]]:
-        """Connected components, ordered by their smallest vehicle id."""
-        out: list[set[int]] = []
-        done: set[int] = set()
-        for vid in sorted(self._adj):
-            if vid in done:
-                continue
-            comp = self.reachable(vid)
-            done |= comp
-            out.append(comp)
-        return out
-
 
 # A cell a hair wider than the range: a pair that passes the rounded
 # `euclid(a, b) <= comm_range` can be up to a few ulps farther apart than the

@@ -94,6 +94,30 @@ def naive_simple_paths(graph, source, dest, max_hops):
     return sorted(found)
 
 
+def components(graph):
+    """Connected components of a LinkGraph, ordered by their smallest vehicle id."""
+    out, done = [], set()
+    for vid in sorted(graph.vehicle_ids):
+        if vid not in done:
+            comp = graph.reachable(vid)
+            done |= comp
+            out.append(comp)
+    return out
+
+
+def components_lowest_pair(graph):
+    """Reference for lowest_connected_pair read off whole components.
+
+    The two smallest ids of the first component with more than one vehicle,
+    or None when every vehicle is isolated.
+    """
+    for members in components(graph):
+        if len(members) > 1:
+            a, b = sorted(members)[:2]
+            return a, b
+    return None
+
+
 def fleet_3000(seed, radios=2, channels=3):
     """A fleet at `freqroute sweep --vehicles 3000 --area 6000 6000 --range 250 --radios 2 --freqs 1,2,3`.
 

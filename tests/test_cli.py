@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from freqroute import Scenario, cli, load_scenario, save_scenario
@@ -299,6 +301,24 @@ def test_sweep_src_requires_dst(capsys):
     assert captured.err == "error: source and dest must differ\n"
 
 
+@pytest.mark.parametrize("command, flags", [
+    *((command, flags) for command in ("sweep", "validate") for flags in (
+        ["--seed", "0"],  # a flag given at its default value counts as given
+        ["--vehicles", "500", "--seed", "9", "--radios", "3"],
+        ["--range", "150"],
+        ["--bw", "2", "10"],
+    )),
+    ("validate", ["--vehicles-max", "9", "--seed", "4"]),
+])
+def test_scenario_refuses_generation_flags(command, flags, diamond, tmp_path, capsys):
+    path = write_scenario(tmp_path, diamond)
+    rounds = ["--rounds", "1"] if command == "sweep" else []
+    assert cli.main([command, "--scenario", path, *rounds, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flags[0]} cannot be used with --scenario\n"
+
+
 # --- validate --------------------------------------------------------------
 
 
@@ -365,3 +385,21 @@ def test_validate_requires_a_mode(diamond, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"freqroute validate: error: {message}\n")
+
+
+# --- README ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    "route --scenario relay.json --src 1 --dst 4 --metric bandwidth",
+    "compare --scenario relay.json --src 1 --dst 4",
+    "validate --scenario relay.json",
+    "sweep --rounds 30 --seed 100 --csv sweep.csv",
+])
+def test_readme_example_prints_what_it_shows(argv, diamond, tmp_path, monkeypatch, capsys):
+    # README's relay.json is the diamond fixture
+    monkeypatch.chdir(tmp_path)
+    write_scenario(tmp_path, diamond, "relay.json")
+    assert cli.main(argv.split()) == 0
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f"$ freqroute {argv}\n{capsys.readouterr().out}" in readme

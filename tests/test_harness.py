@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from freqroute import (
     GenSpec,
+    LinkGraph,
     Metric,
     Scenario,
     astar,
@@ -20,8 +23,9 @@ from freqroute import (
     summarize_sweep,
     sweep_csv,
 )
+from freqroute import harness
 from freqroute.harness import SWEEP_CSV_HEADER
-from conftest import make_vehicle
+from conftest import components_lowest_pair, fleet_3000, make_vehicle
 
 
 def template(**overrides):
@@ -64,6 +68,42 @@ def test_lowest_connected_pair_none():
         (make_vehicle(1, 0, 0, [(1, 1, 1.0)]), make_vehicle(2, 900, 900, [(1, 1, 1.0)])),
     )
     assert lowest_connected_pair(build_link_graph(s)) is None
+
+
+@st.composite
+def scattered_fleets(draw):
+    """Up to 12 vehicles on a 50 m lattice with a 60 m range and two channels.
+
+    Only lattice neighbours on a shared channel link, so most fleets mix
+    isolated vehicles with small components. Ids are drawn from 1..60, not
+    1..n, and the vehicles are listed in no particular id order.
+    """
+    ids = draw(st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True))
+    cell = st.integers(0, 6).map(lambda k: 50.0 * k)
+    return Scenario((300.0, 300.0), 60.0, tuple(
+        make_vehicle(vid, draw(cell), draw(cell), [(1, draw(st.integers(1, 2)), 5.0)])
+        for vid in ids
+    ))
+
+
+@given(scenario=scattered_fleets(), data=st.data())
+def test_lowest_connected_pair_matches_components(scenario, data):
+    g = build_link_graph(scenario)
+    assert lowest_connected_pair(g) == components_lowest_pair(g)
+    # the same links with the graph's vehicles listed out of id order
+    order = data.draw(st.permutations(g.vehicle_ids))
+    shuffled = LinkGraph({vid: g.neighbors(vid) for vid in order})
+    assert lowest_connected_pair(shuffled) == components_lowest_pair(g)
+
+
+def test_lowest_connected_pair_matches_components_on_sweep_rounds_and_fleet():
+    # the 30 rounds of `freqroute sweep --rounds 30 --seed 100`, and a 3000-vehicle fleet
+    spec = GenSpec(0, 30, (1000.0, 1000.0), 200.0, 1, (1,), (2.0, 10.0))
+    scenarios = [generate_scenario(replace(spec, seed=100 + r)) for r in range(1, 31)]
+    for scenario in scenarios + [fleet_3000(1)]:
+        g = build_link_graph(scenario)
+        pair = lowest_connected_pair(g)
+        assert pair is not None and pair == components_lowest_pair(g)
 
 
 # --- compare ---------------------------------------------------------------
@@ -161,6 +201,22 @@ def test_sweep_fixed_matches_compare(diamond):
     by_metric = {r.metric: r.stats for r in rows}
     assert by_metric == {"distance": rep.distance_route.stats,
                          "bandwidth": rep.bandwidth_route.stats}
+
+
+def test_sweep_fixed_answers_once(diamond, monkeypatch):
+    calls = []
+
+    def counting_astar(*args):
+        calls.append(args)
+        return astar(*args)
+
+    monkeypatch.setattr(harness, "astar", counting_astar)
+    rows = run_sweep_fixed(diamond, rounds=5, source=1, dest=4)
+    assert len(calls) == 2
+    assert [r.round for r in rows] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+    once = run_sweep_fixed(diamond, rounds=1, source=1, dest=4)
+    assert [replace(r, round=1) for r in rows] == once * 5
+    assert all(r.stats is not None for r in once)
 
 
 def test_sweep_fixed_auto_picks_pair(diamond):

@@ -39,8 +39,6 @@ def small_spec(**overrides):
 
 def test_vehicle_lookup(bridge):
     assert bridge.vehicle(3).position == (150.0, 0.0)
-    assert 3 in bridge
-    assert 99 not in bridge
     with pytest.raises(KeyError, match="unknown vehicle id: 99"):
         bridge.vehicle(99)
 
@@ -49,10 +47,6 @@ def test_radio_lookup(bridge):
     assert bridge.vehicle(1).radio(2).frequency == 2
     with pytest.raises(KeyError):
         bridge.vehicle(1).radio(7)
-
-
-def test_vehicle_ids_order(bridge):
-    assert bridge.vehicle_ids == (1, 2, 3)
 
 
 # --- validate_scenario -----------------------------------------------------

@@ -130,7 +130,7 @@ def test_reachability(bridge):
     s = Scenario(bridge.area, bridge.comm_range, bridge.vehicles[:2])
     g2 = build_link_graph(s)
     assert g2.reachable(1) == {1}
-    assert g2.components() == [{1}, {2}]
+    assert g2.reachable(2) == {2}
 
 
 def small_gen(seed, count=8, radios=1, pool=(1,), comm_range=200.0):
