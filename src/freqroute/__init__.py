@@ -2,7 +2,6 @@
 
 from .harness import (
     ORACLE_MAX_VEHICLES,
-    CompareReport,
     CrossCheckReport,
     MetricCheck,
     SweepRow,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ORACLE_MAX_VEHICLES",
-    "CompareReport",
     "CrossCheckReport",
     "GenSpec",
     "Hop",

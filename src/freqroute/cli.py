@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -26,10 +27,12 @@ from .topology import build_link_graph
 
 ARROW = "→"
 
-# exit codes: 0 success / route found, 1 no route, 2 invalid input or flags
+# exit codes: 0 success / route found, 1 no route, 2 invalid input or flags,
+# 141 stdout closed early (128 + SIGPIPE, as a shell reports a writer a closed pipe killed)
 EXIT_OK = 0
 EXIT_NO_ROUTE = 1
 EXIT_INVALID = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _positive_int(text: str) -> int:
@@ -86,10 +89,16 @@ def _add_gen_flags(parser, *, vehicles, area):
         default=[2.0, 10.0], help="bandwidth range in kb/s (default 2 10)")
 
 
-def _refuse_gen_flags(args) -> None:
-    """A fixed --scenario is not generated, so a generation flag given with it is an error."""
+def _fixed_scenario(args):
+    """The --scenario file's scenario, or None when --scenario was not given.
+
+    A fixed scenario is not generated, so a generation flag given with it is an error.
+    """
+    if args.scenario is None:
+        return None
     if args.gen_flags_given:
         raise ValueError(f"{args.gen_flags_given[0]} cannot be used with --scenario")
+    return _load(args.scenario)
 
 
 def _genspec(args) -> GenSpec:
@@ -150,32 +159,32 @@ def cmd_route(args) -> int:
 def cmd_compare(args) -> int:
     scenario = _load(args.scenario)
     graph = build_link_graph(scenario)
-    report = compare_routes(scenario, graph, args.src, args.dst)
-    if not report.both_found:
+    routes = compare_routes(scenario, graph, args.src, args.dst)
+    if None in routes.values():
         # link feasibility does not depend on the metric, so it is both or neither
         print("NO ROUTE")
         return EXIT_NO_ROUTE
-    named = (("distance", report.distance_route), ("bandwidth", report.bandwidth_route))
     print(f"{'metric':<10} {'route':<28} hops  total_distance  avg_bandwidth  p_value")
-    for name, route in named:
+    for metric, route in routes.items():
         s = route.stats
-        print(f"{name:<10} {_fmt_route(route):<28} {s.hops:<5} "
+        print(f"{metric.value:<10} {_fmt_route(route):<28} {s.hops:<5} "
               f"{s.total_distance:<15.4f} {s.avg_bandwidth:<14.4f} {s.p_value:.4f}")
-    print(f"delta: avg_bandwidth {report.avg_bandwidth_delta:+.4f}, "
-          f"total_distance {report.total_distance_delta:+.4f}")
+    dist, bw = routes[Metric.DISTANCE].stats, routes[Metric.BANDWIDTH].stats
+    print(f"delta: avg_bandwidth {bw.avg_bandwidth - dist.avg_bandwidth:+.4f}, "
+          f"total_distance {bw.total_distance - dist.total_distance:+.4f}")
     print("check: p(bandwidth) <= p(distance): "
-          + ("ok" if report.p_ordering_ok else "VIOLATED"))
+          + ("ok" if bw.p_value <= dist.p_value else "VIOLATED"))
     if args.csv:
         lines = ["metric,found,hops,total_distance,avg_bandwidth,p_value"]
-        lines += [f"{name},{route_csv_fields(route.stats)}" for name, route in named]
+        lines += [f"{metric.value},{route_csv_fields(route.stats)}"
+                  for metric, route in routes.items()]
         Path(args.csv).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    if args.scenario:
-        _refuse_gen_flags(args)
-        scenario = _load(args.scenario)
+    scenario = _fixed_scenario(args)
+    if scenario is not None:
         rows = run_sweep_fixed(scenario, args.rounds, args.src, args.dst)
     else:
         rows = run_sweep(_genspec(args), args.rounds, args.seed, args.src, args.dst)
@@ -185,9 +194,7 @@ def cmd_sweep(args) -> int:
         print(f"wrote {args.csv} ({len(rows)} rows)")
     else:
         sys.stdout.write(text)
-    summary = summarize_sweep(rows)
-    for name in ("distance", "bandwidth"):
-        stats = summary[name]
+    for name, stats in summarize_sweep(rows).items():
         if stats["rounds_with_route"]:
             print(f"{name}: rounds_with_route={stats['rounds_with_route']:.0f} "
                   f"mean_total_distance={stats['mean_total_distance']:.4f} "
@@ -199,9 +206,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.scenario is not None:
-        _refuse_gen_flags(args)
-        report = cross_check(_load(args.scenario))
+    scenario = _fixed_scenario(args)
+    if scenario is not None:
+        report = cross_check(scenario)
     else:
         vmax = args.vehicles_max if args.vehicles_max is not None else args.vehicles
         report = cross_check_batch(_genspec(args), args.batch, args.seed,
@@ -275,10 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the exit-time flush is silent too
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return code
 
 
 if __name__ == "__main__":

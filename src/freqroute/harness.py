@@ -35,51 +35,16 @@ def lowest_connected_pair(graph: LinkGraph) -> tuple[int, int] | None:
 # --- metric comparison -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    """Both metrics answered on one query, side by side."""
-
-    source: int
-    destination: int
-    distance_route: Route | None
-    bandwidth_route: Route | None
-
-    @property
-    def both_found(self) -> bool:
-        return self.distance_route is not None and self.bandwidth_route is not None
-
-    @property
-    def avg_bandwidth_delta(self) -> float:
-        return (
-            self.bandwidth_route.stats.avg_bandwidth
-            - self.distance_route.stats.avg_bandwidth
-        )
-
-    @property
-    def total_distance_delta(self) -> float:
-        return (
-            self.bandwidth_route.stats.total_distance
-            - self.distance_route.stats.total_distance
-        )
-
-    @property
-    def p_ordering_ok(self) -> bool:
-        """Whether the ratio-guided route does at least as well on its own metric."""
-        return self.bandwidth_route.stats.p_value <= self.distance_route.stats.p_value
-
-
 def compare_routes(
     scenario: Scenario, graph: LinkGraph, source: int, dest: int
-) -> CompareReport:
-    """Answer one `compare` or `sweep` query under both metrics; equal endpoints raise ValueError."""
+) -> dict[Metric, Route | None]:
+    """Answer one `compare` or `sweep` query under each metric, in METRICS order.
+
+    Equal endpoints raise ValueError.
+    """
     if source == dest:
         raise ValueError("source and dest must differ")
-    return CompareReport(
-        source,
-        dest,
-        astar(scenario, graph, source, dest, Metric.DISTANCE),
-        astar(scenario, graph, source, dest, Metric.BANDWIDTH),
-    )
+    return {metric: astar(scenario, graph, source, dest, metric) for metric in METRICS}
 
 
 # --- seeded sweeps ---------------------------------------------------------
@@ -109,13 +74,12 @@ def _round(round_no, seed, scenario, source, dest) -> list[SweepRow]:
     graph = build_link_graph(scenario)
     if source is None:
         source, dest = lowest_connected_pair(graph) or (None, None)
-    routes = (None, None)
+    routes = dict.fromkeys(METRICS)
     if source is not None:
-        report = compare_routes(scenario, graph, source, dest)
-        routes = (report.distance_route, report.bandwidth_route)
+        routes = compare_routes(scenario, graph, source, dest)
     return [
         SweepRow(round_no, seed, metric.value, None if route is None else route.stats)
-        for metric, route in zip(METRICS, routes)
+        for metric, route in routes.items()
     ]
 
 
@@ -195,7 +159,6 @@ class MetricCheck:
     pairs: int = 0
     matched: int = 0
     worst_gap: float = 0.0  # worst relative cost excess over all pairs
-    worst_matched_gap: float = 0.0  # largest absolute gap still inside tolerance
 
     @property
     def match_rate(self) -> float:
@@ -211,7 +174,6 @@ class MetricCheck:
         self.pairs += 1
         if abs(gap) <= MATCH_TOL:
             self.matched += 1
-            self.worst_matched_gap = max(self.worst_matched_gap, abs(gap))
         rel = gap / oracle_cost if oracle_cost > 0 else 0.0
         self.worst_gap = max(self.worst_gap, rel)
 
@@ -219,7 +181,6 @@ class MetricCheck:
         self.pairs += other.pairs
         self.matched += other.matched
         self.worst_gap = max(self.worst_gap, other.worst_gap)
-        self.worst_matched_gap = max(self.worst_matched_gap, other.worst_matched_gap)
 
 
 @dataclass

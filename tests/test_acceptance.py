@@ -113,10 +113,10 @@ def test_criterion_2_distance_exactness(batch200):
         assert report.scenarios == 200
         assert report.connected_pairs > 0
         assert report.distance.match_rate == 1.0
-        assert report.distance.worst_matched_gap <= 1e-9
+        assert report.distance.worst_gap == 0.0
         info["detail"] = (
             f"{report.distance.matched}/{report.distance.pairs} pairs matched, "
-            f"worst matched gap {report.distance.worst_matched_gap:.1e}"
+            f"worst relative gap {report.distance.worst_gap:.1e}"
         )
 
 
@@ -126,8 +126,7 @@ def test_criterion_3_ratio_metric_report(batch200):
         info["elapsed"] = elapsed
         check = report.bandwidth
         assert check.pairs == report.connected_pairs
-        # every matched pair agrees to 1e-9; the rate itself is reported, not promised
-        assert check.worst_matched_gap <= 1e-9
+        # the rate is reported, not promised
         assert 0.0 <= check.match_rate <= 1.0
         info["detail"] = (
             f"match rate {check.match_rate:.1%} ({check.matched}/{check.pairs}), "

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import freqroute
 from freqroute import Scenario, cli, load_scenario, save_scenario
 from conftest import make_vehicle
 
@@ -212,6 +216,31 @@ def test_compare_table(diamond, tmp_path, capsys):
     assert lines[4] == "check: p(bandwidth) <= p(distance): ok"
 
 
+def test_compare_check_line_violated(tmp_path, capsys):
+    # close-once ratio search: its route can end above the shortest route's p
+    path = str(tmp_path / "w.json")
+    assert cli.main(["gen", "--out", path, "--seed", "3001", "--vehicles", "8",
+                     "--area", "500", "500"]) == 0
+    capsys.readouterr()
+    assert cli.main(["compare", "--scenario", path, "--src", "1", "--dst", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[:2] == ["distance", "1→5→7→2"]
+    assert lines[1].split()[-1] == "19.6783"
+    assert lines[2].split()[:2] == ["bandwidth", "1→4→8→5→7→2"]
+    assert lines[2].split()[-1] == "20.7289"
+    assert lines[3:] == ["delta: avg_bandwidth +0.0733, total_distance +296.0779",
+                         "check: p(bandwidth) <= p(distance): VIOLATED"]
+
+
+def test_compare_check_line_equal_p(bridge, tmp_path, capsys):
+    path = write_scenario(tmp_path, bridge)
+    assert cli.main(["compare", "--scenario", path, "--src", "1", "--dst", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[1] == lines[2].split()[1] == "1→3→2"
+    assert lines[3:] == ["delta: avg_bandwidth +0.0000, total_distance +0.0000",
+                         "check: p(bandwidth) <= p(distance): ok"]
+
+
 def test_compare_csv(diamond, tmp_path):
     path = write_scenario(tmp_path, diamond)
     out = tmp_path / "cmp.csv"
@@ -319,6 +348,15 @@ def test_scenario_refuses_generation_flags(command, flags, diamond, tmp_path, ca
     assert captured.err == f"error: {flags[0]} cannot be used with --scenario\n"
 
 
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_empty_scenario_path_is_read_not_ignored(command, capsys):
+    # "" names the current directory, so reading it fails like any bad path
+    assert cli.main([command, "--scenario", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 21] Is a directory: '.'\n"
+
+
 # --- validate --------------------------------------------------------------
 
 
@@ -403,3 +441,32 @@ def test_readme_example_prints_what_it_shows(argv, diamond, tmp_path, monkeypatc
     assert cli.main(argv.split()) == 0
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     assert f"$ freqroute {argv}\n{capsys.readouterr().out}" in readme
+
+
+# --- exit codes ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_unwritable_csv_is_invalid_input(command, diamond, tmp_path, capsys):
+    path = write_scenario(tmp_path, diamond)
+    assert cli.main([command, "--scenario", path, "--src", "1", "--dst", "4",
+                     "--csv", str(tmp_path / "missing" / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
+def test_closed_stdout_exits_141_quietly():
+    # a reader that went away before any output: stdout is a pipe with no read end
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(freqroute.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqroute.cli", "sweep", "--rounds", "2", "--vehicles", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -111,20 +111,23 @@ def test_lowest_connected_pair_matches_components_on_sweep_rounds_and_fleet():
 
 def test_compare_relay_tradeoff(diamond):
     g = build_link_graph(diamond)
-    rep = compare_routes(diamond, g, 1, 4)
-    assert rep.both_found
-    assert rep.distance_route.vehicle_sequence == (1, 2, 4)
-    assert rep.bandwidth_route.vehicle_sequence == (1, 3, 4)
-    assert rep.avg_bandwidth_delta == pytest.approx(4.0)
-    assert rep.total_distance_delta == pytest.approx(16.2278, abs=1e-4)
-    assert rep.p_ordering_ok
+    routes = compare_routes(diamond, g, 1, 4)
+    assert list(routes) == list(harness.METRICS)
+    dist, bw = routes[Metric.DISTANCE], routes[Metric.BANDWIDTH]
+    assert dist == astar(diamond, g, 1, 4, Metric.DISTANCE)
+    assert bw == astar(diamond, g, 1, 4, Metric.BANDWIDTH)
+    assert dist.vehicle_sequence == (1, 2, 4)
+    assert bw.vehicle_sequence == (1, 3, 4)
+    assert bw.stats.avg_bandwidth - dist.stats.avg_bandwidth == pytest.approx(4.0)
+    assert bw.stats.total_distance - dist.stats.total_distance == pytest.approx(16.2278, abs=1e-4)
+    assert bw.stats.p_value < dist.stats.p_value
 
 
 def test_compare_single_feasible_path(bridge):
     g = build_link_graph(bridge)
-    rep = compare_routes(bridge, g, 1, 2)
-    assert rep.distance_route == rep.bandwidth_route
-    assert rep.avg_bandwidth_delta == 0.0
+    routes = compare_routes(bridge, g, 1, 2)
+    assert routes[Metric.DISTANCE] == routes[Metric.BANDWIDTH]
+    assert routes[Metric.DISTANCE].vehicle_sequence == (1, 3, 2)
 
 
 def test_compare_uniform_bandwidth_coincides(diamond):
@@ -137,8 +140,8 @@ def test_compare_uniform_bandwidth_coincides(diamond):
         ),
     )
     g = build_link_graph(flat)
-    rep = compare_routes(flat, g, 1, 4)
-    assert rep.distance_route.vehicle_sequence == rep.bandwidth_route.vehicle_sequence
+    routes = compare_routes(flat, g, 1, 4)
+    assert routes[Metric.DISTANCE].vehicle_sequence == routes[Metric.BANDWIDTH].vehicle_sequence
 
 
 def test_compare_not_found():
@@ -146,9 +149,7 @@ def test_compare_not_found():
         (1000.0, 1000.0), 10.0,
         (make_vehicle(1, 0, 0, [(1, 1, 1.0)]), make_vehicle(2, 900, 900, [(1, 1, 1.0)])),
     )
-    rep = compare_routes(s, build_link_graph(s), 1, 2)
-    assert not rep.both_found
-    assert rep.distance_route is None and rep.bandwidth_route is None
+    assert compare_routes(s, build_link_graph(s), 1, 2) == dict.fromkeys(harness.METRICS)
 
 
 # --- sweep -----------------------------------------------------------------
@@ -195,12 +196,12 @@ def test_sweep_unreachable_round_recorded_empty():
 
 def test_sweep_fixed_matches_compare(diamond):
     g = build_link_graph(diamond)
-    rep = compare_routes(diamond, g, 1, 4)
+    routes = compare_routes(diamond, g, 1, 4)
     rows = run_sweep_fixed(diamond, rounds=1, source=1, dest=4)
     assert rows[0].seed == 0 and rows[1].seed == 0
-    by_metric = {r.metric: r.stats for r in rows}
-    assert by_metric == {"distance": rep.distance_route.stats,
-                         "bandwidth": rep.bandwidth_route.stats}
+    assert [(r.metric, r.stats) for r in rows] == [
+        (metric.value, route.stats) for metric, route in routes.items()
+    ]
 
 
 def test_sweep_fixed_answers_once(diamond, monkeypatch):
@@ -340,5 +341,5 @@ def test_p_ordering_holds_when_ratio_check_is_clean(bridge):
         for dest in g.vehicle_ids:
             if source == dest or astar(bridge, g, source, dest, Metric.DISTANCE) is None:
                 continue
-            cmp = compare_routes(bridge, g, source, dest)
-            assert cmp.p_ordering_ok
+            routes = compare_routes(bridge, g, source, dest)
+            assert routes[Metric.BANDWIDTH].stats.p_value <= routes[Metric.DISTANCE].stats.p_value
