@@ -29,8 +29,8 @@ from .model import (
     validate_scenario,
 )
 from .oracle import Optimum, best_routes_from
-from .router import Hop, Route, astar, route_from_sequence
-from .topology import Link, LinkGraph, build_link_graph, euclid
+from .router import Hop, Route, astar
+from .topology import Link, LinkGraph, build_link_graph
 
 __version__ = "0.1.0"
 
@@ -59,11 +59,9 @@ __all__ = [
     "compare_routes",
     "cross_check",
     "cross_check_batch",
-    "euclid",
     "generate_scenario",
     "load_scenario",
     "lowest_connected_pair",
-    "route_from_sequence",
     "route_stats",
     "run_sweep",
     "run_sweep_fixed",

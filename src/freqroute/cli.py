@@ -11,12 +11,14 @@ from pathlib import Path
 
 from .harness import (
     ORACLE_MAX_VEHICLES,
+    STAT_NAMES,
     compare_routes,
     cross_check,
     cross_check_batch,
-    route_csv_fields,
+    csv_text,
     run_sweep,
     run_sweep_fixed,
+    stat_fields,
     summarize_sweep,
     sweep_csv,
 )
@@ -121,10 +123,8 @@ def _fmt_route(route: Route) -> str:
     return ARROW.join(str(v) for v in route.vehicle_sequence)
 
 
-def _fmt_stats(route: Route) -> str:
-    s = route.stats
-    return (f"hops={s.hops} total_distance={s.total_distance:.4f} "
-            f"avg_bandwidth={s.avg_bandwidth:.4f} p_value={s.p_value:.4f}")
+# compare's table: metric, route, then the STAT_NAMES columns
+_TABLE_ROW = "{:<10} {:<28} {:<5} {:<15} {:<14} {}"
 
 
 # --- subcommands -----------------------------------------------------------
@@ -150,7 +150,7 @@ def cmd_route(args) -> int:
         return EXIT_NO_ROUTE
     print(_fmt_route(route))
     if route.hops:
-        print(_fmt_stats(route))
+        print(" ".join(map("=".join, zip(STAT_NAMES, stat_fields(route.stats)))))
     else:
         print("hops=0 total_distance=0.0000")
     return EXIT_OK
@@ -160,25 +160,21 @@ def cmd_compare(args) -> int:
     scenario = _load(args.scenario)
     graph = build_link_graph(scenario)
     routes = compare_routes(scenario, graph, args.src, args.dst)
+    if args.csv:
+        keyed = (((m.value,), None if r is None else r.stats) for m, r in routes.items())
+        Path(args.csv).write_text(csv_text(("metric",), keyed))
     if None in routes.values():
         # link feasibility does not depend on the metric, so it is both or neither
         print("NO ROUTE")
         return EXIT_NO_ROUTE
-    print(f"{'metric':<10} {'route':<28} hops  total_distance  avg_bandwidth  p_value")
+    print(_TABLE_ROW.format("metric", "route", *STAT_NAMES))
     for metric, route in routes.items():
-        s = route.stats
-        print(f"{metric.value:<10} {_fmt_route(route):<28} {s.hops:<5} "
-              f"{s.total_distance:<15.4f} {s.avg_bandwidth:<14.4f} {s.p_value:.4f}")
+        print(_TABLE_ROW.format(metric.value, _fmt_route(route), *stat_fields(route.stats)))
     dist, bw = routes[Metric.DISTANCE].stats, routes[Metric.BANDWIDTH].stats
     print(f"delta: avg_bandwidth {bw.avg_bandwidth - dist.avg_bandwidth:+.4f}, "
           f"total_distance {bw.total_distance - dist.total_distance:+.4f}")
     print("check: p(bandwidth) <= p(distance): "
           + ("ok" if bw.p_value <= dist.p_value else "VIOLATED"))
-    if args.csv:
-        lines = ["metric,found,hops,total_distance,avg_bandwidth,p_value"]
-        lines += [f"{metric.value},{route_csv_fields(route.stats)}"
-                  for metric, route in routes.items()]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -214,8 +210,8 @@ def cmd_validate(args) -> int:
         report = cross_check_batch(_genspec(args), args.batch, args.seed,
                                    args.vehicles, vmax)
     print(f"scenarios={report.scenarios} connected_ordered_pairs={report.connected_pairs}")
-    for name, check in (("distance", report.distance), ("bandwidth", report.bandwidth)):
-        print(f"{name:<10} match {check.matched}/{check.pairs} ({check.match_rate:.1%}) "
+    for metric, check in report.checks.items():
+        print(f"{metric.value:<10} match {check.matched}/{check.pairs} ({check.match_rate:.1%}) "
               f"worst_relative_gap {check.worst_gap:.3e}")
     return EXIT_OK
 

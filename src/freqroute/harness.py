@@ -47,9 +47,26 @@ def compare_routes(
     return {metric: astar(scenario, graph, source, dest, metric) for metric in METRICS}
 
 
-# --- seeded sweeps ---------------------------------------------------------
+# a found route's output columns, in output order
+STAT_NAMES = ("hops", "total_distance", "avg_bandwidth", "p_value")
 
-SWEEP_CSV_HEADER = "round,seed,metric,found,hops,total_distance,avg_bandwidth,p_value"
+
+def stat_fields(stats: RouteStats) -> tuple[str, ...]:
+    """A found route's STAT_NAMES columns as text: hops as an integer, the rest to 4 decimals."""
+    return (str(stats.hops), *(f"{getattr(stats, name):.4f}" for name in STAT_NAMES[1:]))
+
+
+def csv_text(key_names: tuple[str, ...], rows) -> str:
+    """CSV of (key values, stats) rows: the keys, `found`, then STAT_NAMES, empty if no route."""
+    lines = [",".join((*key_names, "found", *STAT_NAMES))]
+    no_route = ("false", *[""] * len(STAT_NAMES))
+    for key, stats in rows:
+        found = no_route if stats is None else ("true", *stat_fields(stats))
+        lines.append(",".join((*map(str, key), *found)))
+    return "\n".join(lines) + "\n"
+
+
+# --- seeded sweeps ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -117,22 +134,14 @@ def run_sweep_fixed(
     return [replace(row, round=r) for r in range(1, rounds + 1) for row in rows]
 
 
-def route_csv_fields(stats: RouteStats) -> str:
-    """A found route's found,hops,total_distance,avg_bandwidth,p_value CSV columns, 4 decimals."""
-    return f"true,{stats.hops},{stats.total_distance:.4f},{stats.avg_bandwidth:.4f},{stats.p_value:.4f}"
-
-
 def sweep_csv(rows: list[SweepRow]) -> str:
     """Render rows in the fixed CSV layout: 4-decimal numbers, LF line endings.
 
     The layout is part of the interface; equal row lists always produce
     byte-identical text. Rows without a route leave the numeric fields empty.
     """
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        fields = "false,,,," if row.stats is None else route_csv_fields(row.stats)
-        lines.append(f"{row.round},{row.seed},{row.metric},{fields}")
-    return "\n".join(lines) + "\n"
+    keyed = (((row.round, row.seed, row.metric), row.stats) for row in rows)
+    return csv_text(("round", "seed", "metric"), keyed)
 
 
 def summarize_sweep(rows: list[SweepRow]) -> dict[str, dict[str, float]]:
@@ -187,14 +196,15 @@ class MetricCheck:
 class CrossCheckReport:
     scenarios: int
     connected_pairs: int
-    distance: MetricCheck = field(default_factory=MetricCheck)
-    bandwidth: MetricCheck = field(default_factory=MetricCheck)
+    checks: dict[Metric, MetricCheck] = field(  # in METRICS order
+        default_factory=lambda: {metric: MetricCheck() for metric in METRICS}
+    )
 
     def merge(self, other: "CrossCheckReport") -> None:
         self.scenarios += other.scenarios
         self.connected_pairs += other.connected_pairs
-        self.distance.merge(other.distance)
-        self.bandwidth.merge(other.bandwidth)
+        for metric, check in self.checks.items():
+            check.merge(other.checks[metric])
 
 
 def cross_check(scenario: Scenario) -> CrossCheckReport:
@@ -215,7 +225,7 @@ def cross_check(scenario: Scenario) -> CrossCheckReport:
         optima = best_routes_from(graph, source, max_hops)
         for dest in sorted(optima):
             report.connected_pairs += 1
-            for metric, check in zip(METRICS, (report.distance, report.bandwidth)):
+            for metric, check in report.checks.items():
                 route = astar(scenario, graph, source, dest, metric)
                 if route is None:
                     raise RuntimeError(

@@ -48,12 +48,6 @@ class Vehicle:
         object.__setattr__(self, "position", tuple(self.position))
         object.__setattr__(self, "radios", tuple(self.radios))
 
-    def radio(self, radio_id: int) -> Radio:
-        for r in self.radios:
-            if r.radio_id == radio_id:
-                return r
-        raise KeyError(f"vehicle {self.vehicle_id} has no radio {radio_id}")
-
 
 @dataclass(frozen=True)
 class Scenario:

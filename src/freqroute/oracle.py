@@ -26,12 +26,12 @@ def best_routes_from(
     1..max_hops edges. It reads plain `(to_vehicle, bit, distance, bandwidth)`
     tuples and keeps the path's vehicles as an int bitmask, one bit per index
     in `graph.vehicle_ids`. Per destination and metric only the optimal cost
-    and its vehicle sequence are kept; `route_from_sequence` gives the Route.
-    Costs are summed hop by hop from 0.0 as `route_stats` sums them, so each
-    equals its Route's `total_distance` or `p_value` bit for bit. Neighbours
-    are taken in ascending id order and each prefix is visited before its
-    extensions, so paths arrive in lexicographic order; only a strictly
-    smaller cost replaces a kept one, so ties go to the smaller sequence.
+    and its vehicle sequence are kept. Costs are summed hop by hop from 0.0 as
+    `route_stats` sums them, so each equals its Route's `total_distance` or
+    `p_value` bit for bit. Neighbours are taken in ascending id order and
+    each prefix is visited before its extensions, so paths arrive in
+    lexicographic order; only a strictly smaller cost replaces a kept one, so
+    ties go to the smaller sequence.
     """
     if max_hops < 1:
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")

@@ -104,7 +104,7 @@ def astar(
             known = best.get(w)
             if known is None:
                 x, y = vehicle(w).position
-                remaining = math.hypot(x - gx, y - gy)  # euclid(position, goal)
+                remaining = math.hypot(x - gx, y - gy)
             else:
                 remaining = known[4]
             nd = dist_sum + link.distance
@@ -124,20 +124,3 @@ def _reconstruct(best, source, dest) -> Route:
         link = best[link.from_vehicle][3]
     hops.reverse()
     return Route(source, dest, tuple(hops))
-
-
-def route_from_sequence(graph: LinkGraph, sequence) -> Route:
-    """Materialize a route from a vehicle-id sequence, each hop on its link's chosen radio pair.
-
-    Raises ValueError if consecutive vehicles are not linked.
-    """
-    seq = tuple(sequence)
-    if not seq:
-        raise ValueError("sequence must contain at least the source vehicle")
-    hops: list[Hop] = []
-    for prev, cur in zip(seq, seq[1:]):
-        link = graph.link(prev, cur)
-        if link is None:
-            raise ValueError(f"vehicles {prev} and {cur} are not linked")
-        hops.append(Hop(cur, link.radio_pair, link.distance, link.bandwidth))
-    return Route(seq[0], seq[-1], tuple(hops))

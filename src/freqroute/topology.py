@@ -10,11 +10,6 @@ from typing import NamedTuple
 from .model import Radio, Scenario, Vehicle
 
 
-def euclid(p: tuple[float, float], q: tuple[float, float]) -> float:
-    """Straight-line distance between two (x, y) points, in meters."""
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
 class Link(NamedTuple):
     """A usable directed hop: in range, sharing a channel, its radio pair already chosen.
 
@@ -36,8 +31,8 @@ class LinkGraph:
     """Adjacency over vehicles that are within range and share a frequency.
 
     Neighbor lists are sorted by vehicle id so traversals are reproducible.
-    The graph is symmetric: link(a, b) exists iff link(b, a) does, with the
-    same distance. Each direction carries its own radio choice, made for its
+    The graph is symmetric: a links to b iff b links to a, with the same
+    distance. Each direction carries its own radio choice, made for its
     own receiver, so searches and the oracle read a hop's pair and bandwidth
     off the link instead of choosing again.
     """
@@ -57,12 +52,6 @@ class LinkGraph:
     def neighbors(self, vehicle_id: int) -> tuple[Link, ...]:
         return self._adj[vehicle_id]
 
-    def link(self, from_vehicle: int, to_vehicle: int) -> Link | None:
-        for l in self._adj[from_vehicle]:
-            if l.to_vehicle == to_vehicle:
-                return l
-        return None
-
     def link_count(self) -> int:
         """Number of undirected links."""
         return sum(len(links) for links in self._adj.values()) // 2
@@ -81,7 +70,7 @@ class LinkGraph:
 
 
 # A cell a hair wider than the range: a pair that passes the rounded
-# `euclid(a, b) <= comm_range` can be up to a few ulps farther apart than the
+# `math.hypot(dx, dy) <= comm_range` can be up to a few ulps farther apart than the
 # range, and with cells exactly `comm_range` wide such a pair can sit two
 # cells apart (range 256, x = 256 - 2**-45 and x = 512).
 _CELL_MARGIN = 1 + 2**-20
@@ -129,11 +118,11 @@ def _hop_choice(a_plan, b_plan) -> tuple:
 def build_link_graph(scenario: Scenario) -> LinkGraph:
     """Derive the link graph from vehicle positions, range, and channel plans.
 
-    A link between a and b exists iff euclid(a, b) <= comm_range (equality
-    counts as connected) and the two share a channel. Every vehicle appears
-    as a vertex even when isolated. Each direction's radio pair is chosen
-    here, once, from the receiver's radios ranked by bandwidth then id (see
-    Link).
+    A link between a and b exists iff their straight-line distance is at
+    most comm_range (equality counts as connected) and the two share a
+    channel. Every vehicle appears as a vertex even when isolated. Each
+    direction's radio pair is chosen here, once, from the receiver's radios
+    ranked by bandwidth then id (see Link).
 
     Candidates come from a uniform grid (fixed-radius near-neighbour
     bucketing, Bentley, Stanat & Williams 1977): every pair within range lies
@@ -177,7 +166,7 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
         for j in block[bisect_right(block, i):]:
             b = order[j]
             bx, by = b.position
-            d = math.hypot(ax - bx, ay - by)  # euclid(a.position, b.position)
+            d = math.hypot(ax - bx, ay - by)
             if d > reach:
                 continue
             b_no = plan_nos[j]

@@ -3,7 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import settings
 
-from freqroute import GenSpec, Radio, Scenario, Vehicle, generate_scenario
+from freqroute import GenSpec, Hop, Radio, Route, Scenario, Vehicle, generate_scenario
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -60,17 +60,42 @@ def k4():
     )
 
 
+def find_link(graph, from_vehicle, to_vehicle):
+    """The link from one vehicle to another, or None when they are not linked."""
+    return next((l for l in graph.neighbors(from_vehicle) if l.to_vehicle == to_vehicle), None)
+
+
+def find_radio(vehicle, radio_id):
+    """The vehicle's one radio with this id."""
+    (radio,) = [r for r in vehicle.radios if r.radio_id == radio_id]
+    return radio
+
+
+def route_from_sequence(graph, sequence):
+    """The route along a vehicle-id sequence, each hop on its link's chosen radio pair.
+
+    Raises ValueError if consecutive vehicles are not linked.
+    """
+    hops = []
+    for prev, cur in zip(sequence, sequence[1:]):
+        link = find_link(graph, prev, cur)
+        if link is None:
+            raise ValueError(f"vehicles {prev} and {cur} are not linked")
+        hops.append(Hop(cur, link.radio_pair, link.distance, link.bandwidth))
+    return Route(sequence[0], sequence[-1], tuple(hops))
+
+
 def assert_route_feasible(scenario, graph, route):
     """Per-hop feasibility: linked, channel-matched, simple, costs consistent."""
     seq = route.vehicle_sequence
     assert len(set(seq)) == len(seq), f"route revisits a vehicle: {seq}"
     prev = route.source
     for hop in route.hops:
-        link = graph.link(prev, hop.vehicle_id)
+        link = find_link(graph, prev, hop.vehicle_id)
         assert link is not None, f"no link {prev}-{hop.vehicle_id}"
         tx, rx = hop.radio_pair
-        tx_radio = scenario.vehicle(prev).radio(tx)
-        rx_radio = scenario.vehicle(hop.vehicle_id).radio(rx)
+        tx_radio = find_radio(scenario.vehicle(prev), tx)
+        rx_radio = find_radio(scenario.vehicle(hop.vehicle_id), rx)
         assert tx_radio.frequency == rx_radio.frequency
         assert hop.distance == link.distance
         assert hop.bandwidth == rx_radio.bandwidth
@@ -89,7 +114,7 @@ def naive_simple_paths(graph, source, dest, max_hops):
     for k in range(0, max_hops):
         for mid in permutations(others, k):
             seq = (source, *mid, dest)
-            if all(graph.link(a, b) is not None for a, b in zip(seq, seq[1:])):
+            if all(find_link(graph, a, b) is not None for a, b in zip(seq, seq[1:])):
                 found.append(seq)
     return sorted(found)
 
@@ -162,7 +187,7 @@ def select_radio_pair(scenario, link):
     best = None
     best_key = None
     for tx, rx in shared_frequency_pairs(sender, receiver):
-        bw = receiver.radio(rx).bandwidth
+        bw = find_radio(receiver, rx).bandwidth
         key = (-bw, rx, tx)
         if best_key is None or key < best_key:
             best_key = key

@@ -259,6 +259,27 @@ def test_compare_no_route(tmp_path, capsys):
     assert capsys.readouterr().out == "NO ROUTE\n"
 
 
+def test_compare_csv_no_route_replaces_earlier_rows(tmp_path, capsys):
+    # 1 and 2 are linked, 3 is out of range: the NO ROUTE query's rows replace the found ones
+    path = write_scenario(tmp_path, Scenario(
+        (1000.0, 1000.0), 100.0,
+        tuple(make_vehicle(vid, x, 0, [(1, 1, 4.0)]) for vid, x in ((1, 0), (2, 50), (3, 900))),
+    ))
+    out = tmp_path / "cmp.csv"
+    assert cli.main(["compare", "--scenario", path, "--src", "1", "--dst", "2",
+                     "--csv", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "distance,true,1,50.0000,4.0000,12.5000"
+    capsys.readouterr()
+    assert cli.main(["compare", "--scenario", path, "--src", "1", "--dst", "3",
+                     "--csv", str(out)]) == 1
+    assert capsys.readouterr().out == "NO ROUTE\n"
+    assert out.read_text() == (
+        "metric,found,hops,total_distance,avg_bandwidth,p_value\n"
+        "distance,false,,,,\n"
+        "bandwidth,false,,,,\n"
+    )
+
+
 def test_compare_same_endpoint_rejected_before_output(diamond, tmp_path, capsys):
     path = write_scenario(tmp_path, diamond)
     assert cli.main(["compare", "--scenario", path, "--src", "3", "--dst", "3"]) == 2
@@ -451,7 +472,10 @@ def test_unwritable_csv_is_invalid_input(command, diamond, tmp_path, capsys):
     path = write_scenario(tmp_path, diamond)
     assert cli.main([command, "--scenario", path, "--src", "1", "--dst", "4",
                      "--csv", str(tmp_path / "missing" / "out.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+    captured = capsys.readouterr()
+    # the file is written before anything is printed
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_closed_stdout_exits_141_quietly():

@@ -17,15 +17,13 @@ from freqroute import (
     cross_check_batch,
     generate_scenario,
     lowest_connected_pair,
-    route_from_sequence,
     run_sweep,
     run_sweep_fixed,
     summarize_sweep,
     sweep_csv,
 )
 from freqroute import harness
-from freqroute.harness import SWEEP_CSV_HEADER
-from conftest import components_lowest_pair, fleet_3000, make_vehicle
+from conftest import components_lowest_pair, fleet_3000, make_vehicle, route_from_sequence
 
 
 def template(**overrides):
@@ -174,7 +172,7 @@ def test_sweep_csv_format():
     rows = run_sweep(template(), rounds=2, base_seed=500)
     text = sweep_csv(rows)
     lines = text.split("\n")
-    assert lines[0] == SWEEP_CSV_HEADER
+    assert lines[0] == "round,seed,metric,found,hops,total_distance,avg_bandwidth,p_value"
     assert text.endswith("\n") and "\r" not in text
     for line in lines[1:-1]:
         fields = line.split(",")
@@ -261,22 +259,24 @@ def test_summarize_sweep():
 def test_cross_check_relay_scenario(diamond):
     rep = cross_check(diamond)
     assert rep.connected_pairs == 12
-    assert rep.distance.matched == 12
-    assert rep.distance.match_rate == 1.0
-    assert rep.distance.worst_gap == 0.0
+    assert list(rep.checks) == [Metric.DISTANCE, Metric.BANDWIDTH]
+    distance, bandwidth = rep.checks.values()
+    assert distance.matched == 12
+    assert distance.match_rate == 1.0
+    assert distance.worst_gap == 0.0
     # queries out of the slow vehicle terminate before the fast detour
-    assert rep.bandwidth.matched == 10
-    assert rep.bandwidth.match_rate == pytest.approx(10 / 12)
+    assert bandwidth.matched == 10
+    assert bandwidth.match_rate == pytest.approx(10 / 12)
     p_direct = 150.0 / 10.0
     p_detour = (50.0 + math.hypot(150.0, 50.0)) / 20.0
-    assert rep.bandwidth.worst_gap == pytest.approx((p_direct - p_detour) / p_detour)
+    assert bandwidth.worst_gap == pytest.approx((p_direct - p_detour) / p_detour)
 
 
 def test_cross_check_chain_scenario(bridge):
     rep = cross_check(bridge)
     assert rep.connected_pairs == 6
-    assert rep.distance.match_rate == 1.0
-    assert rep.bandwidth.match_rate == 1.0
+    assert rep.checks[Metric.DISTANCE].match_rate == 1.0
+    assert rep.checks[Metric.BANDWIDTH].match_rate == 1.0
 
 
 def test_cross_check_refuses_large_scenarios():
@@ -302,10 +302,11 @@ def test_cross_check_batch_aggregates():
         )
         singles.append(cross_check(generate_scenario(spec)))
     assert total.connected_pairs == sum(r.connected_pairs for r in singles)
-    assert total.distance.matched == sum(r.distance.matched for r in singles)
-    assert total.bandwidth.pairs == sum(r.bandwidth.pairs for r in singles)
-    assert total.bandwidth.worst_gap == max(r.bandwidth.worst_gap for r in singles)
-    assert total.distance.match_rate == 1.0
+    for metric, check in total.checks.items():
+        assert check.pairs == sum(r.checks[metric].pairs for r in singles)
+        assert check.matched == sum(r.checks[metric].matched for r in singles)
+        assert check.worst_gap == max(r.checks[metric].worst_gap for r in singles)
+    assert total.checks[Metric.DISTANCE].match_rate == 1.0
 
 
 def test_cross_check_batch_rejects_bad_counts():
@@ -335,7 +336,7 @@ def test_ratio_search_never_beats_its_oracle_and_bounds_shortest():
 
 def test_p_ordering_holds_when_ratio_check_is_clean(bridge):
     rep = cross_check(bridge)
-    assert rep.bandwidth.match_rate == 1.0
+    assert rep.checks[Metric.BANDWIDTH].match_rate == 1.0
     g = build_link_graph(bridge)
     for source in g.vehicle_ids:
         for dest in g.vehicle_ids:

@@ -20,10 +20,9 @@ from freqroute import (
     build_link_graph,
     generate_scenario,
     load_scenario,
-    route_from_sequence,
     route_stats,
 )
-from conftest import make_vehicle
+from conftest import find_link, make_vehicle, route_from_sequence
 
 # The search's ordering value lives inside astar: under DISTANCE it is the
 # distance walked plus the straight line to the goal, under BANDWIDTH that
@@ -197,7 +196,7 @@ def test_extend_zero_distance_edge():
         ),
     )
     g = build_link_graph(s)
-    assert g.link(2, 3).distance == 0.0
+    assert find_link(g, 2, 3).distance == 0.0
     r = route_from_sequence(g, (1, 2, 3))
     assert [(h.distance, h.bandwidth) for h in r.hops] == [(150.0, 2.0), (0.0, 5.0)]
     assert r.stats == RouteStats(150.0, 3.5, 150.0 / 7.0, 2)

@@ -43,12 +43,6 @@ def test_vehicle_lookup(bridge):
         bridge.vehicle(99)
 
 
-def test_radio_lookup(bridge):
-    assert bridge.vehicle(1).radio(2).frequency == 2
-    with pytest.raises(KeyError):
-        bridge.vehicle(1).radio(7)
-
-
 # --- validate_scenario -----------------------------------------------------
 
 

@@ -9,9 +9,14 @@ from freqroute import (
     best_routes_from,
     build_link_graph,
     generate_scenario,
+)
+from conftest import (
+    assert_route_feasible,
+    find_link,
+    make_vehicle,
+    naive_simple_paths,
     route_from_sequence,
 )
-from conftest import assert_route_feasible, make_vehicle, naive_simple_paths
 
 
 def naive_optimum(graph, sequences, metric):
@@ -56,7 +61,7 @@ def test_hop_cap_excludes_everything(diamond):
     optima = best_routes_from(g, 1, 1)
     assert set(optima) == {2, 3}
     for relay in (2, 3):
-        link = g.link(1, relay)
+        link = find_link(g, 1, relay)
         assert optima[relay][Metric.DISTANCE] == Optimum(link.distance, (1, relay))
         assert optima[relay][Metric.BANDWIDTH] == Optimum(link.distance / link.bandwidth, (1, relay))
 
@@ -231,7 +236,7 @@ def test_best_routes_from_tie_goes_to_smaller_sequence():
               for vid, x, y in ((1, 0, 0), (2, 100, 0), (3, 0, 100), (4, 100, 100))),
     )
     g = build_link_graph(s)
-    assert g.link(1, 4) is None and g.link(2, 3) is None
+    assert find_link(g, 1, 4) is None and find_link(g, 2, 3) is None
     assert route_from_sequence(g, (1, 2, 4)).stats == route_from_sequence(g, (1, 3, 4)).stats
     for src, dst, smaller in ((1, 4, (1, 2, 4)), (4, 1, (4, 2, 1)), (2, 3, (2, 1, 3)), (3, 2, (3, 1, 2))):
         stats = route_from_sequence(g, smaller).stats

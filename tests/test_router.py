@@ -14,11 +14,17 @@ from freqroute import (
     Scenario,
     astar,
     build_link_graph,
-    euclid,
     generate_scenario,
-    route_from_sequence,
 )
-from conftest import assert_route_feasible, fleet_3000, make_vehicle, select_radio_pair
+from conftest import (
+    assert_route_feasible,
+    find_link,
+    find_radio,
+    fleet_3000,
+    make_vehicle,
+    route_from_sequence,
+    select_radio_pair,
+)
 
 BOTH = (Metric.DISTANCE, Metric.BANDWIDTH)
 
@@ -123,10 +129,10 @@ def test_select_radio_pair_prefers_fast_receiver():
         ),
     )
     g = build_link_graph(s)
-    ahead = g.link(1, 2)
+    ahead = find_link(g, 1, 2)
     assert ahead.radio_pair == (1, 2) and ahead.bandwidth == 9.0
     # and in the reverse direction the single receiver is the only choice
-    back = g.link(2, 1)
+    back = find_link(g, 2, 1)
     assert back.radio_pair[1] == 1 and back.bandwidth == 4.0
     # a route's hop uses the pair its link carries
     hop, = astar(s, g, 1, 2, Metric.DISTANCE).hops
@@ -145,8 +151,8 @@ def test_select_radio_pair_tie_breaks_on_low_ids():
             ),
         )
         g = build_link_graph(s)
-        assert g.link(1, 2).radio_pair == (1, 3) and g.link(1, 2).bandwidth == 6.0
-        assert g.link(2, 1).radio_pair == (3, 1) and g.link(2, 1).bandwidth == 4.0
+        assert find_link(g, 1, 2).radio_pair == (1, 3) and find_link(g, 1, 2).bandwidth == 6.0
+        assert find_link(g, 2, 1).radio_pair == (3, 1) and find_link(g, 2, 1).bandwidth == 4.0
 
 
 def test_expand_children(diamond):
@@ -202,14 +208,6 @@ def test_routes_on_random_scenarios_are_feasible():
         assert found[Metric.DISTANCE] == found[Metric.BANDWIDTH]
 
 
-def test_route_from_sequence_rejects_unlinked(bridge):
-    g = build_link_graph(bridge)
-    with pytest.raises(ValueError, match="not linked"):
-        route_from_sequence(g, (1, 2))
-    with pytest.raises(ValueError):
-        route_from_sequence(g, ())
-
-
 # --- differential check against the search that chose radios per expansion ---
 
 
@@ -226,7 +224,7 @@ class PathAccumulator:
 
 
 def f_value(metric, acc, current, goal):
-    remaining = euclid(current, goal)
+    remaining = math.dist(current, goal)
     if metric is Metric.DISTANCE:
         return acc.dist_sum + remaining
     if acc.hop_count == 0:
@@ -285,9 +283,9 @@ def reference_astar(scenario, graph, source, dest, metric):
         if vid == dest:
             hops = []
             while node.parent is not None:
-                link = graph.link(node.parent, node.vehicle_id)
+                link = find_link(graph, node.parent, node.vehicle_id)
                 tx, rx = node.radio_pair
-                bw = scenario.vehicle(node.vehicle_id).radio(rx).bandwidth
+                bw = find_radio(scenario.vehicle(node.vehicle_id), rx).bandwidth
                 hops.append(Hop(node.vehicle_id, (tx, rx), link.distance, bw))
                 node = best[node.parent]
             return Route(source, dest, tuple(reversed(hops)))

@@ -6,25 +6,19 @@ from hypothesis import example, given, strategies as st
 from freqroute import (
     Scenario,
     build_link_graph,
-    euclid,
     generate_scenario,
     validate_scenario,
 )
 from freqroute.model import GenSpec
 from freqroute.topology import Link, LinkGraph
-from conftest import fleet_3000, make_vehicle, select_radio_pair, shared_frequency_pairs
-
-
-def test_euclid_345():
-    assert euclid((0, 0), (3, 4)) == 5.0
-
-
-def test_euclid_identity():
-    assert euclid((7, 7), (7, 7)) == 0.0
-
-
-def test_euclid_sqrt2():
-    assert abs(euclid((0, 0), (1, 1)) - math.sqrt(2)) <= 1e-9
+from conftest import (
+    find_link,
+    find_radio,
+    fleet_3000,
+    make_vehicle,
+    select_radio_pair,
+    shared_frequency_pairs,
+)
 
 
 def test_shared_pairs_bridge(bridge):
@@ -52,10 +46,10 @@ def test_shared_pairs_a_major_order():
 def test_bridge_graph_links(bridge):
     g = build_link_graph(bridge)
     assert g.link_count() == 2
-    assert g.link(1, 3) is not None
-    assert g.link(3, 2) is not None
-    assert g.link(1, 2) is None
-    assert g.link(1, 3).distance == 150.0
+    assert find_link(g, 1, 3) is not None
+    assert find_link(g, 3, 2) is not None
+    assert find_link(g, 1, 2) is None
+    assert find_link(g, 1, 3).distance == 150.0
 
 
 def test_in_range_without_shared_channel_is_no_link(bridge):
@@ -64,7 +58,7 @@ def test_in_range_without_shared_channel_is_no_link(bridge):
     vehicles[1] = make_vehicle(2, 160, 0, [(r.radio_id, r.frequency, r.bandwidth) for r in v2.radios])
     s = Scenario(bridge.area, bridge.comm_range, tuple(vehicles))
     g = build_link_graph(s)
-    assert g.link(1, 2) is None  # 160 m is in range, but no channel matches
+    assert find_link(g, 1, 2) is None  # 160 m is in range, but no channel matches
 
 
 def test_single_vehicle_graph():
@@ -81,8 +75,8 @@ def test_distance_equal_to_range_is_connected():
         (make_vehicle(1, 0, 0, [(1, 1, 1.0)]), make_vehicle(2, 200, 0, [(1, 1, 1.0)])),
     )
     g = build_link_graph(s)
-    assert g.link(1, 2) is not None
-    assert g.link(1, 2).distance == 200.0
+    assert find_link(g, 1, 2) is not None
+    assert find_link(g, 1, 2).distance == 200.0
 
 
 def test_no_self_links(diamond):
@@ -102,7 +96,7 @@ def test_mirrored_links(diamond):
     g = build_link_graph(diamond)
     for vid in g.vehicle_ids:
         for link in g.neighbors(vid):
-            back = g.link(link.to_vehicle, vid)
+            back = find_link(g, link.to_vehicle, vid)
             assert back is not None
             assert back.distance == link.distance
             for hop in (link, back):
@@ -117,8 +111,8 @@ def test_every_link_pair_matches_frequency(bridge):
     for vid in g.vehicle_ids:
         for link in g.neighbors(vid):
             tx, rx = link.radio_pair
-            tx_radio = bridge.vehicle(vid).radio(tx)
-            rx_radio = bridge.vehicle(link.to_vehicle).radio(rx)
+            tx_radio = find_radio(bridge.vehicle(vid), tx)
+            rx_radio = find_radio(bridge.vehicle(link.to_vehicle), rx)
             assert tx_radio.frequency == rx_radio.frequency
             assert link.bandwidth == rx_radio.bandwidth
             assert (link.radio_pair, link.bandwidth) == select_radio_pair(bridge, link)
@@ -163,7 +157,7 @@ def test_brute_force_equivalence():
                     for rb in b.radios
                     if ra.frequency == rb.frequency
                 ]
-                link = g.link(a.vehicle_id, b.vehicle_id)
+                link = find_link(g, a.vehicle_id, b.vehicle_id)
                 if d <= s.comm_range and pairs:
                     assert link is not None
                     assert link.distance == d
@@ -184,7 +178,7 @@ def all_pairs_link_graph(scenario):
     adjacency = {v.vehicle_id: [] for v in order}
     for i, a in enumerate(order):
         for b in order[i + 1 :]:
-            d = euclid(a.position, b.position)
+            d = math.dist(a.position, b.position)
             if d > scenario.comm_range:
                 continue
             if not shared_frequency_pairs(a, b):
@@ -263,7 +257,7 @@ def test_pair_rounded_onto_the_range_links():
     )
     g = build_link_graph(s)
     assert g.link_count() == 1
-    assert g.link(1, 2).distance == 256.0
+    assert find_link(g, 1, 2).distance == 256.0
 
 
 @pytest.mark.parametrize(
@@ -283,7 +277,7 @@ def test_degenerate_ranges_match_all_pairs(area, comm_range, positions):
     expected = [] if math.isfinite(comm_range) else ["comm_range must be finite, got inf"]
     assert validate_scenario(s) == expected
     assert_matches_all_pairs(s)
-    assert build_link_graph(s).link(1, 2) is not None
+    assert find_link(build_link_graph(s), 1, 2) is not None
 
 
 @given(seed=st.integers(0, 2**32), radios=st.integers(1, 2))
@@ -292,7 +286,7 @@ def test_symmetry_property(seed, radios):
     g = build_link_graph(s)
     for vid in g.vehicle_ids:
         for link in g.neighbors(vid):
-            back = g.link(link.to_vehicle, vid)
+            back = find_link(g, link.to_vehicle, vid)
             assert back is not None and back.distance == link.distance
 
 
