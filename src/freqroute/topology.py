@@ -132,11 +132,13 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
     """
     order = sorted(scenario.vehicles, key=lambda v: v.vehicle_id)
     adjacency: dict[int, list[Link]] = {v.vehicle_id: [] for v in order}
+    # each vehicle is read once, into lists the candidate loop indexes
+    ids = [v.vehicle_id for v in order]
+    xs = [v.position[0] for v in order]
+    ys = [v.position[1] for v in order]
+    links = [adjacency[vid] for vid in ids]  # index -> that vehicle's link list
     side = _cell_side(scenario)
-    keys = [
-        (0, 0) if side is None else (int(v.position[0] // side), int(v.position[1] // side))
-        for v in order
-    ]
+    keys = [(0, 0) if side is None else (int(x // side), int(y // side)) for x, y in zip(xs, ys)]
     cells: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(keys):
         cells.setdefault(key, []).append(i)
@@ -152,21 +154,18 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
     ]
     plans = list(numbered)  # plan number -> plan
     memo: list[dict[int, tuple]] = [{} for _ in plans]
-    reach = scenario.comm_range
-    for i, a in enumerate(order):
-        key = keys[i]
+    reach, hypot, new = scenario.comm_range, math.hypot, tuple.__new__
+    for i, key in enumerate(keys):
         block = blocks.get(key)
         if block is None:
             cx, cy = key
             block = blocks[key] = sorted(
                 j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for j in cells.get((cx + dx, cy + dy), ())
             )
-        a_id, (ax, ay), a_no = a.vehicle_id, a.position, plan_nos[i]
-        a_memo, a_links = memo[a_no], adjacency[a_id]
+        a_id, ax, ay, a_no = ids[i], xs[i], ys[i], plan_nos[i]
+        a_memo, a_links = memo[a_no], links[i]
         for j in block[bisect_right(block, i):]:
-            b = order[j]
-            bx, by = b.position
-            d = math.hypot(ax - bx, ay - by)
+            d = hypot(ax - xs[j], ay - ys[j])
             if d > reach:
                 continue
             b_no = plan_nos[j]
@@ -176,8 +175,10 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
                 memo[b_no][a_no] = _hop_choice(plans[b_no], plans[a_no])
             pair, k = ahead
             if pair is not None:
-                b_id = b.vehicle_id
+                b_id = ids[j]
                 back_pair, back_k = memo[b_no][a_no]
-                a_links.append(Link(a_id, b_id, d, pair, ranked[j][k].bandwidth))
-                adjacency[b_id].append(Link(b_id, a_id, d, back_pair, ranked[i][back_k].bandwidth))
+                # new(Link, fields) is Link(*fields) without the Python-level
+                # __new__ that NamedTuple generates, the costliest step per link
+                a_links.append(new(Link, (a_id, b_id, d, pair, ranked[j][k].bandwidth)))
+                links[j].append(new(Link, (b_id, a_id, d, back_pair, ranked[i][back_k].bandwidth)))
     return LinkGraph(adjacency)

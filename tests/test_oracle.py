@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from freqroute import (
     GenSpec,
@@ -242,3 +243,41 @@ def test_best_routes_from_tie_goes_to_smaller_sequence():
         stats = route_from_sequence(g, smaller).stats
         for metric in tuple(Metric):
             assert best_routes_from(g, src, 3)[dst][metric] == Optimum(stats.cost(metric), smaller)
+
+
+def bandwidth_sum(route):
+    return sum(hop.bandwidth for hop in route.hops)
+
+
+def distance_and_ratio_optima(graph, optima):
+    """The routes of the exact distance optimum and the exact ratio optimum."""
+    return tuple(
+        route_from_sequence(graph, optima[m].vehicle_sequence) for m in (Metric.DISTANCE, Metric.BANDWIDTH)
+    )
+
+
+@given(seed=st.integers(0, 2**32), count=st.integers(2, 10), radios=st.integers(1, 2))
+def test_ratio_optimum_never_raises_p_or_lowers_bandwidth_sum(seed, count, radios):
+    # the distance optimum is one of the ratio's candidates, so p cannot rise;
+    # it is also shortest, so D(ratio) >= D(distance) and the bandwidth sum
+    # D / p cannot fall. The average bandwidth carries no such guarantee.
+    s = generate_scenario(GenSpec(seed, count, (500.0, 500.0), 200.0, radios, (1, 2), (2.0, 10.0)))
+    g = build_link_graph(s)
+    for source in g.vehicle_ids:
+        for optima in best_routes_from(g, source, count - 1).values():
+            by_distance, by_ratio = distance_and_ratio_optima(g, optima)
+            assert by_ratio.stats.p_value <= by_distance.stats.p_value
+            assert bandwidth_sum(by_ratio) >= bandwidth_sum(by_distance)
+
+
+def test_ratio_optimum_can_lower_the_average_bandwidth():
+    # validate's default fleet at seed 3000: the ratio optimum adds a slow hop
+    s = generate_scenario(GenSpec(3000, 8, (500.0, 500.0), 200.0, 1, (1,), (2.0, 10.0)))
+    g = build_link_graph(s)
+    by_distance, by_ratio = distance_and_ratio_optima(g, best_routes_from(g, 3, 7)[6])
+    assert by_distance.vehicle_sequence == (3, 6)
+    assert by_ratio.vehicle_sequence == (3, 2, 6)
+    assert by_distance.stats.avg_bandwidth == 5.1
+    assert by_ratio.stats.avg_bandwidth == 4.75
+    assert bandwidth_sum(by_ratio) == 9.5 > bandwidth_sum(by_distance)
+    assert by_ratio.stats.p_value < by_distance.stats.p_value

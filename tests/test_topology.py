@@ -118,6 +118,17 @@ def test_every_link_pair_matches_frequency(bridge):
             assert (link.radio_pair, link.bandwidth) == select_radio_pair(bridge, link)
 
 
+def test_every_neighbor_is_a_link(diamond, bridge):
+    # a Link compares equal to a plain tuple, so assert_matches_all_pairs
+    # cannot see whether each direction was built as a Link of Link's arity
+    for scenario in (diamond, bridge, fleet_3000(1), fleet_3000(4, radios=4, channels=8)):
+        g = build_link_graph(scenario)
+        for vid in g.vehicle_ids:
+            for link in g.neighbors(vid):
+                assert type(link) is Link
+                assert len(link) == len(Link._fields)
+
+
 def test_reachability(bridge):
     g = build_link_graph(bridge)
     assert g.reachable(1) == {1, 2, 3}
