@@ -190,14 +190,9 @@ def cmd_sweep(args) -> int:
         print(f"wrote {args.csv} ({len(rows)} rows)")
     else:
         sys.stdout.write(text)
-    for name, stats in summarize_sweep(rows).items():
-        if stats["rounds_with_route"]:
-            print(f"{name}: rounds_with_route={stats['rounds_with_route']:.0f} "
-                  f"mean_total_distance={stats['mean_total_distance']:.4f} "
-                  f"mean_avg_bandwidth={stats['mean_avg_bandwidth']:.4f} "
-                  f"mean_p_value={stats['mean_p_value']:.4f}")
-        else:
-            print(f"{name}: rounds_with_route=0")
+    for name, summary in summarize_sweep(rows).items():
+        means = (f"{key}={value:.4f}" for key, value in summary.items() if key != "rounds_with_route")
+        print(f"{name}: rounds_with_route={summary['rounds_with_route']}", *means)
     return EXIT_OK
 
 
@@ -207,8 +202,7 @@ def cmd_validate(args) -> int:
         report = cross_check(scenario)
     else:
         vmax = args.vehicles_max if args.vehicles_max is not None else args.vehicles
-        report = cross_check_batch(_genspec(args), args.batch, args.seed,
-                                   args.vehicles, vmax)
+        report = cross_check_batch(_genspec(args), args.batch, vmax)
     print(f"scenarios={report.scenarios} connected_ordered_pairs={report.connected_pairs}")
     for metric, check in report.checks.items():
         print(f"{metric.value:<10} match {check.matched}/{check.pairs} ({check.match_rate:.1%}) "

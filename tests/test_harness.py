@@ -8,6 +8,7 @@ from freqroute import (
     GenSpec,
     LinkGraph,
     Metric,
+    Optimum,
     Scenario,
     astar,
     best_routes_from,
@@ -110,7 +111,7 @@ def test_lowest_connected_pair_matches_components_on_sweep_rounds_and_fleet():
 def test_compare_relay_tradeoff(diamond):
     g = build_link_graph(diamond)
     routes = compare_routes(diamond, g, 1, 4)
-    assert list(routes) == list(harness.METRICS)
+    assert list(routes) == list(Metric)
     dist, bw = routes[Metric.DISTANCE], routes[Metric.BANDWIDTH]
     assert dist == astar(diamond, g, 1, 4, Metric.DISTANCE)
     assert bw == astar(diamond, g, 1, 4, Metric.BANDWIDTH)
@@ -147,7 +148,8 @@ def test_compare_not_found():
         (1000.0, 1000.0), 10.0,
         (make_vehicle(1, 0, 0, [(1, 1, 1.0)]), make_vehicle(2, 900, 900, [(1, 1, 1.0)])),
     )
-    assert compare_routes(s, build_link_graph(s), 1, 2) == dict.fromkeys(harness.METRICS)
+    routes = compare_routes(s, build_link_graph(s), 1, 2)
+    assert list(routes.items()) == [(metric, None) for metric in Metric]
 
 
 # --- sweep -----------------------------------------------------------------
@@ -279,6 +281,26 @@ def test_cross_check_chain_scenario(bridge):
     assert rep.checks[Metric.BANDWIDTH].match_rate == 1.0
 
 
+def test_cross_check_at_the_oracle_limit():
+    # a chain of the largest fleet the oracle takes: 150 m apart with a 200 m
+    # range, so each vehicle links only to its neighbours and the walk has to
+    # go all the way down to reach the far end
+    n = harness.ORACLE_MAX_VEHICLES
+    assert n == 10
+    s = Scenario((1500.0, 100.0), 200.0,
+                 tuple(make_vehicle(vid, 150 * (vid - 1), 0, [(1, 1, float(vid))]) for vid in range(1, n + 1)))
+    g = build_link_graph(s)
+    # 9 hops of 150 m; the receivers' bandwidths 2..10 sum to 54
+    assert best_routes_from(g, 1)[n] == {
+        Metric.DISTANCE: Optimum(1350.0, tuple(range(1, n + 1))),
+        Metric.BANDWIDTH: Optimum(1350.0 / 54.0, tuple(range(1, n + 1))),
+    }
+    rep = cross_check(s)
+    assert rep.connected_pairs == 90
+    for check in rep.checks.values():
+        assert (check.matched, check.pairs) == (90, 90)
+
+
 def test_cross_check_refuses_large_scenarios():
     s = generate_scenario(template(vehicle_count=11, seed=1, area=(2000.0, 2000.0)))
     with pytest.raises(ValueError, match="oracle bound"):
@@ -286,8 +308,8 @@ def test_cross_check_refuses_large_scenarios():
 
 
 def test_cross_check_batch_aggregates():
-    t = template(area=(400.0, 400.0))
-    total = cross_check_batch(t, count=6, base_seed=40, min_vehicles=4, max_vehicles=6)
+    t = template(area=(400.0, 400.0), seed=40, vehicle_count=4)
+    total = cross_check_batch(t, count=6, max_vehicles=6)
     assert total.scenarios == 6
     singles = []
     for i in range(6):
@@ -311,9 +333,9 @@ def test_cross_check_batch_aggregates():
 
 def test_cross_check_batch_rejects_bad_counts():
     with pytest.raises(ValueError):
-        cross_check_batch(template(), count=2, base_seed=0, min_vehicles=8, max_vehicles=11)
+        cross_check_batch(template(vehicle_count=8), count=2, max_vehicles=11)
     with pytest.raises(ValueError):
-        cross_check_batch(template(), count=0, base_seed=0, min_vehicles=4, max_vehicles=5)
+        cross_check_batch(template(vehicle_count=4), count=0, max_vehicles=5)
 
 
 def test_ratio_search_never_beats_its_oracle_and_bounds_shortest():
@@ -323,7 +345,7 @@ def test_ratio_search_never_beats_its_oracle_and_bounds_shortest():
         s = generate_scenario(template(seed=900 + seed, vehicle_count=7))
         g = build_link_graph(s)
         for source in g.vehicle_ids:
-            optima = best_routes_from(g, source, len(s.vehicles) - 1)
+            optima = best_routes_from(g, source)
             for dest, best in optima.items():
                 r = astar(s, g, source, dest, Metric.BANDWIDTH)
                 p_opt = best[Metric.BANDWIDTH].cost

@@ -40,7 +40,7 @@ def test_distance_f_at_goal(diamond, k4, bridge):
     for s in (diamond, k4, bridge):
         g = build_link_graph(s)
         for src, dst in ordered_pairs(g):
-            optima = best_routes_from(g, src, len(s.vehicles) - 1)
+            optima = best_routes_from(g, src)
             r = astar(s, g, src, dst, Metric.DISTANCE)
             assert (r is None) == (dst not in optima)
             if r is not None:
@@ -156,7 +156,7 @@ def test_complete_route_p_equals_f_at_goal(diamond, k4):
         g = build_link_graph(s)
         matched = 0
         for src in g.vehicle_ids:
-            optima = best_routes_from(g, src, len(s.vehicles) - 1)
+            optima = best_routes_from(g, src)
             for dst, routes in optima.items():
                 r = astar(s, g, src, dst, Metric.BANDWIDTH)
                 total = sum(h.distance for h in r.hops)
@@ -270,7 +270,7 @@ def test_subnormal_p_value_is_accepted():
            "vehicles": [{"id": vid, "x": x, "y": 0, "radios": [radio]} for vid, x in ((1, 0), (2, 1))]}
     s = load_scenario(json.dumps(doc))
     g = build_link_graph(s)
-    optimum = best_routes_from(g, 1, 1)[2][Metric.BANDWIDTH]
+    optimum = best_routes_from(g, 1)[2][Metric.BANDWIDTH]
     for metric in (Metric.DISTANCE, Metric.BANDWIDTH):
         r = astar(s, g, 1, 2, metric)
         assert r.vehicle_sequence == (1, 2)

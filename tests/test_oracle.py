@@ -30,7 +30,7 @@ def test_single_path_chain(bridge):
     g = build_link_graph(bridge)
     assert naive_simple_paths(g, 1, 2, 5) == [(1, 3, 2)]
     stats = route_from_sequence(g, (1, 3, 2)).stats
-    optima = best_routes_from(g, 1, 5)
+    optima = best_routes_from(g, 1)
     assert set(optima) == {2, 3}
     for metric in tuple(Metric):
         assert optima[2][metric] == Optimum(stats.cost(metric), (1, 3, 2))
@@ -40,15 +40,17 @@ def test_two_relay_paths_within_three_hops(diamond):
     g = build_link_graph(diamond)
     paths = naive_simple_paths(g, 1, 4, 3)
     assert paths == [(1, 2, 3, 4), (1, 2, 4), (1, 3, 2, 4), (1, 3, 4)]
-    optima = best_routes_from(g, 1, 3)
+    optima = best_routes_from(g, 1)
     for metric in tuple(Metric):
         assert optima[4][metric] == naive_optimum(g, paths, metric)
 
 
 def test_two_relay_paths_within_two_hops(diamond):
+    # the three-hop detours through both relays are never optimal here, so
+    # the full walk keeps, for every destination, the two-hop minimum
     g = build_link_graph(diamond)
     assert naive_simple_paths(g, 1, 4, 2) == [(1, 2, 4), (1, 3, 4)]
-    optima = best_routes_from(g, 1, 2)
+    optima = best_routes_from(g, 1)
     assert set(optima) == {2, 3, 4}
     for dest in optima:
         paths = naive_simple_paths(g, 1, dest, 2)
@@ -56,24 +58,13 @@ def test_two_relay_paths_within_two_hops(diamond):
             assert optima[dest][metric] == naive_optimum(g, paths, metric)
 
 
-def test_hop_cap_excludes_everything(diamond):
-    # 1 and 4 are 300 m apart, beyond range: one hop reaches only the relays
-    g = build_link_graph(diamond)
-    optima = best_routes_from(g, 1, 1)
-    assert set(optima) == {2, 3}
-    for relay in (2, 3):
-        link = find_link(g, 1, relay)
-        assert optima[relay][Metric.DISTANCE] == Optimum(link.distance, (1, relay))
-        assert optima[relay][Metric.BANDWIDTH] == Optimum(link.distance / link.bandwidth, (1, relay))
-
-
 def test_disconnected_pair_is_empty(bridge):
     # without the bridging vehicle 3 nothing links 1 and 2
     s = Scenario(bridge.area, bridge.comm_range, bridge.vehicles[:2])
     g = build_link_graph(s)
     assert naive_simple_paths(g, 1, 2, 5) == []
-    assert best_routes_from(g, 1, 5) == {}
-    assert best_routes_from(g, 2, 5) == {}
+    assert best_routes_from(g, 1) == {}
+    assert best_routes_from(g, 2) == {}
 
 
 def test_source_is_never_a_destination(diamond, k4):
@@ -82,23 +73,20 @@ def test_source_is_never_a_destination(diamond, k4):
     for s in (diamond, k4):
         g = build_link_graph(s)
         for src in g.vehicle_ids:
-            assert set(best_routes_from(g, src, 3)) == set(g.vehicle_ids) - {src}
+            assert set(best_routes_from(g, src)) == set(g.vehicle_ids) - {src}
 
 
 def test_bad_arguments(diamond):
     g = build_link_graph(diamond)
-    for cap in (0, -1):
-        with pytest.raises(ValueError, match="max_hops must be >= 1"):
-            best_routes_from(g, 1, cap)
     with pytest.raises(ValueError, match="unknown vehicle id: 99"):
-        best_routes_from(g, 99, 3)
+        best_routes_from(g, 99)
 
 
 def test_complete_graph_path_count(k4):
     g = build_link_graph(k4)
     paths = naive_simple_paths(g, 1, 4, 3)
     assert len(paths) == 5
-    optima = best_routes_from(g, 1, 3)
+    optima = best_routes_from(g, 1)
     for metric in tuple(Metric):
         assert optima[4][metric] == naive_optimum(g, paths, metric)
 
@@ -109,7 +97,7 @@ def test_enumerated_paths_are_feasible(diamond, k4):
     for s in (diamond, k4):
         g = build_link_graph(s)
         for src in g.vehicle_ids:
-            for dest, by_metric in best_routes_from(g, src, 3).items():
+            for dest, by_metric in best_routes_from(g, src).items():
                 for metric, optimum in by_metric.items():
                     route = route_from_sequence(g, optimum.vehicle_sequence)
                     assert route.destination == dest
@@ -121,7 +109,7 @@ def test_enumerated_paths_are_feasible(diamond, k4):
 
 def test_best_route_under_each_metric(diamond):
     g = build_link_graph(diamond)
-    optima = best_routes_from(g, 1, 3)[4]
+    optima = best_routes_from(g, 1)[4]
     assert optima[Metric.DISTANCE] == Optimum(300.0, (1, 2, 4))
     fast = route_from_sequence(g, (1, 3, 4)).stats
     assert optima[Metric.BANDWIDTH] == Optimum(fast.p_value, (1, 3, 4))
@@ -131,7 +119,7 @@ def test_best_distance_bounds_every_path(diamond, k4):
     for s in (diamond, k4):
         g = build_link_graph(s)
         for src in g.vehicle_ids:
-            optima = best_routes_from(g, src, 3)
+            optima = best_routes_from(g, src)
             for dest in optima:
                 for seq in naive_simple_paths(g, src, dest, 3):
                     stats = route_from_sequence(g, seq).stats
@@ -153,7 +141,7 @@ def test_best_route_tie_breaks_lexicographically():
     g = build_link_graph(s)
     for src, dst, smaller in ((1, 4, (1, 2, 4)), (4, 1, (4, 2, 1))):
         for metric in (Metric.DISTANCE, Metric.BANDWIDTH):
-            assert best_routes_from(g, src, 3)[dst][metric].vehicle_sequence == smaller
+            assert best_routes_from(g, src)[dst][metric].vehicle_sequence == smaller
 
 
 def test_matches_independent_enumeration():
@@ -170,13 +158,12 @@ def test_matches_independent_enumeration():
             )
         )
         g = build_link_graph(s)
-        for max_hops in (2, 5):
-            optima = best_routes_from(g, 1, max_hops)
-            for dest in range(2, 7):
-                paths = naive_simple_paths(g, 1, dest, max_hops)
-                assert (dest in optima) == bool(paths)
-                for metric in tuple(Metric) if paths else ():
-                    assert optima[dest][metric] == naive_optimum(g, paths, metric)
+        optima = best_routes_from(g, 1)
+        for dest in range(2, 7):
+            paths = naive_simple_paths(g, 1, dest, len(s.vehicles) - 1)
+            assert (dest in optima) == bool(paths)
+            for metric in tuple(Metric) if paths else ():
+                assert optima[dest][metric] == naive_optimum(g, paths, metric)
 
 
 def test_search_route_is_always_enumerated(diamond):
@@ -199,11 +186,10 @@ def oracle_scenarios():
 
 
 def test_best_routes_from_matches_naive_enumeration():
-    # at every hop cap, per destination and metric: the sequence is the
-    # (cost, sequence) minimum over the independently enumerated paths, and
-    # the cost equals the materialized route's stats bit for bit. The
-    # permutations grow fast, so 9-10 vehicle fleets check one source and
-    # two destinations
+    # per destination and metric: the sequence is the (cost, sequence)
+    # minimum over the independently enumerated paths, and the cost equals
+    # the materialized route's stats bit for bit. The permutations grow
+    # fast, so 9-10 vehicle fleets check one source and two destinations
     for s in oracle_scenarios():
         g = build_link_graph(s)
         n = len(s.vehicles)
@@ -211,19 +197,15 @@ def test_best_routes_from_matches_naive_enumeration():
         for src in ids if n <= 8 else ids[:1]:
             others = [d for d in ids if d != src]
             dests = others if n <= 8 else others[-2:]
-            paths = {
-                d: [(seq, route_from_sequence(g, seq).stats) for seq in naive_simple_paths(g, src, d, n - 1)]
-                for d in dests
-            }
-            for cap in range(1, max(n, 2)):
-                optima = best_routes_from(g, src, cap)
-                assert src not in optima
-                for d in dests:
-                    within = [(seq, stats) for seq, stats in paths[d] if len(seq) - 1 <= cap]
-                    assert (d in optima) == bool(within)
-                    for metric in tuple(Metric) if within else ():
-                        seq, stats = min(within, key=lambda p: (p[1].cost(metric), p[0]))
-                        assert optima[d][metric] == Optimum(stats.cost(metric), seq)
+            optima = best_routes_from(g, src)
+            assert src not in optima
+            for d in dests:
+                sequences = naive_simple_paths(g, src, d, n - 1)
+                paths = [(seq, route_from_sequence(g, seq).stats) for seq in sequences]
+                assert (d in optima) == bool(paths)
+                for metric in tuple(Metric) if paths else ():
+                    seq, stats = min(paths, key=lambda p: (p[1].cost(metric), p[0]))
+                    assert optima[d][metric] == Optimum(stats.cost(metric), seq)
 
 
 def test_best_routes_from_tie_goes_to_smaller_sequence():
@@ -242,7 +224,7 @@ def test_best_routes_from_tie_goes_to_smaller_sequence():
     for src, dst, smaller in ((1, 4, (1, 2, 4)), (4, 1, (4, 2, 1)), (2, 3, (2, 1, 3)), (3, 2, (3, 1, 2))):
         stats = route_from_sequence(g, smaller).stats
         for metric in tuple(Metric):
-            assert best_routes_from(g, src, 3)[dst][metric] == Optimum(stats.cost(metric), smaller)
+            assert best_routes_from(g, src)[dst][metric] == Optimum(stats.cost(metric), smaller)
 
 
 def bandwidth_sum(route):
@@ -264,7 +246,7 @@ def test_ratio_optimum_never_raises_p_or_lowers_bandwidth_sum(seed, count, radio
     s = generate_scenario(GenSpec(seed, count, (500.0, 500.0), 200.0, radios, (1, 2), (2.0, 10.0)))
     g = build_link_graph(s)
     for source in g.vehicle_ids:
-        for optima in best_routes_from(g, source, count - 1).values():
+        for optima in best_routes_from(g, source).values():
             by_distance, by_ratio = distance_and_ratio_optima(g, optima)
             assert by_ratio.stats.p_value <= by_distance.stats.p_value
             assert bandwidth_sum(by_ratio) >= bandwidth_sum(by_distance)
@@ -274,7 +256,7 @@ def test_ratio_optimum_can_lower_the_average_bandwidth():
     # validate's default fleet at seed 3000: the ratio optimum adds a slow hop
     s = generate_scenario(GenSpec(3000, 8, (500.0, 500.0), 200.0, 1, (1,), (2.0, 10.0)))
     g = build_link_graph(s)
-    by_distance, by_ratio = distance_and_ratio_optima(g, best_routes_from(g, 3, 7)[6])
+    by_distance, by_ratio = distance_and_ratio_optima(g, best_routes_from(g, 3)[6])
     assert by_distance.vehicle_sequence == (3, 6)
     assert by_ratio.vehicle_sequence == (3, 2, 6)
     assert by_distance.stats.avg_bandwidth == 5.1
