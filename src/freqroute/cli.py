@@ -199,7 +199,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     scenario = _fixed_scenario(args)
     if scenario is not None:
-        report = cross_check(scenario)
+        report = cross_check([scenario])
     else:
         vmax = args.vehicles_max if args.vehicles_max is not None else args.vehicles
         report = cross_check_batch(_genspec(args), args.batch, vmax)

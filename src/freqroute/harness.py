@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from statistics import fmean
 
@@ -36,7 +37,7 @@ def lowest_connected_pair(graph: LinkGraph) -> tuple[int, int] | None:
 def compare_routes(
     scenario: Scenario, graph: LinkGraph, source: int, dest: int
 ) -> dict[Metric, Route | None]:
-    """Answer one `compare` or `sweep` query under each metric, in `Metric` order.
+    """Answer one `compare`, `sweep` or `validate` query under each metric, in `Metric` order.
 
     Equal endpoints raise ValueError.
     """
@@ -183,15 +184,10 @@ class MetricCheck:
         rel = gap / oracle_cost if oracle_cost > 0 else 0.0
         self.worst_gap = max(self.worst_gap, rel)
 
-    def merge(self, other: "MetricCheck") -> None:
-        self.pairs += other.pairs
-        self.matched += other.matched
-        self.worst_gap = max(self.worst_gap, other.worst_gap)
-
 
 @dataclass
 class CrossCheckReport:
-    scenarios: int
+    scenarios: int = 0
     checks: dict[Metric, MetricCheck] = field(  # in Metric order
         default_factory=lambda: {metric: MetricCheck() for metric in Metric}
     )
@@ -201,35 +197,31 @@ class CrossCheckReport:
         """Every connected ordered pair is checked once under each metric."""
         return self.checks[Metric.DISTANCE].pairs
 
-    def merge(self, other: "CrossCheckReport") -> None:
-        self.scenarios += other.scenarios
-        for metric, check in self.checks.items():
-            check.merge(other.checks[metric])
 
-
-def cross_check(scenario: Scenario) -> CrossCheckReport:
-    """Search vs exhaustive optimum, both metrics, every connected ordered pair.
+def cross_check(scenarios: Iterable[Scenario]) -> CrossCheckReport:
+    """Search vs exhaustive optimum, both metrics, every connected ordered pair of each scenario.
 
     The oracle walks every simple path, so scenarios above the vehicle cap are
     refused rather than left to run for an exponential time.
     Distance is expected to match everywhere; the ratio metric's rate is
     whatever it is, reported not promised.
     """
-    n = len(scenario.vehicles)
-    if n > ORACLE_MAX_VEHICLES:
-        raise ValueError(f"scenario has {n} vehicles; the oracle bound is {ORACLE_MAX_VEHICLES}")
-    graph = build_link_graph(scenario)
-    report = CrossCheckReport(scenarios=1)
-    for source in sorted(graph.vehicle_ids):
-        optima = best_routes_from(graph, source)
-        for dest in sorted(optima):
-            for metric, check in report.checks.items():
-                route = astar(scenario, graph, source, dest, metric)
-                if route is None:
-                    raise RuntimeError(
-                        f"pair ({source}, {dest}) has a path but the search found none"
-                    )
-                check.record(route.stats.cost(metric), optima[dest][metric].cost)
+    report = CrossCheckReport()
+    for scenario in scenarios:
+        n = len(scenario.vehicles)
+        if n > ORACLE_MAX_VEHICLES:
+            raise ValueError(f"scenario has {n} vehicles; the oracle bound is {ORACLE_MAX_VEHICLES}")
+        graph = build_link_graph(scenario)
+        report.scenarios += 1
+        for source in sorted(graph.vehicle_ids):
+            optima = best_routes_from(graph, source)
+            for dest in sorted(optima):
+                for metric, route in compare_routes(scenario, graph, source, dest).items():
+                    if route is None:
+                        raise RuntimeError(
+                            f"pair ({source}, {dest}) has a path but the search found none"
+                        )
+                    report.checks[metric].record(route.stats.cost(metric), optima[dest][metric].cost)
     return report
 
 
@@ -248,8 +240,6 @@ def cross_check_batch(template: GenSpec, count: int, max_vehicles: int) -> Cross
             f" got ({min_vehicles}, {max_vehicles})"
         )
     span = max_vehicles - min_vehicles + 1
-    total = CrossCheckReport(scenarios=0)
-    for i in range(count):
-        spec = replace(template, seed=base_seed + i, vehicle_count=min_vehicles + (i % span))
-        total.merge(cross_check(generate_scenario(spec)))
-    return total
+    specs = (replace(template, seed=base_seed + i, vehicle_count=min_vehicles + i % span)
+             for i in range(count))
+    return cross_check(generate_scenario(spec) for spec in specs)

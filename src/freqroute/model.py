@@ -263,7 +263,10 @@ def _number(value, path: str) -> float:
     # bool is an int subclass; it is never a valid number here
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{path}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioFormatError(f"{path}: number out of float range") from None
 
 
 def _integer(value, path: str) -> int:

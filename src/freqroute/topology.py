@@ -166,7 +166,7 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
         a_memo, a_links = memo[a_no], links[i]
         for j in block[bisect_right(block, i):]:
             d = hypot(ax - xs[j], ay - ys[j])
-            if d > reach:
+            if not d <= reach:
                 continue
             b_no = plan_nos[j]
             ahead = a_memo.get(b_no)

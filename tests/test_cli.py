@@ -201,6 +201,21 @@ def test_route_rejects_infinite_numbers(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", [
+    ["route", "--src", "1", "--dst", "2"], ["compare", "--src", "1", "--dst", "2"], ["validate"],
+], ids=["route", "compare", "validate"])
+def test_integer_too_large_for_a_float_is_invalid_input(command, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"area": {"width": 100, "height": 100}, "comm_range": 50, "vehicles": ['
+        '{"id": 1, "x": 1' + "0" * 400 + ', "y": 0, "radios": [{"id": 1, "freq": 1, "bw": 2}]}]}'
+    )
+    assert cli.main([*command, "--scenario", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vehicles[0].x: number out of float range\n"
+
+
 # --- compare ---------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from freqroute import (
     GenSpec,
     LinkGraph,
     Metric,
+    MetricCheck,
     Optimum,
     Scenario,
     astar,
@@ -259,7 +260,7 @@ def test_summarize_sweep():
 
 
 def test_cross_check_relay_scenario(diamond):
-    rep = cross_check(diamond)
+    rep = cross_check([diamond])
     assert rep.connected_pairs == 12
     assert list(rep.checks) == [Metric.DISTANCE, Metric.BANDWIDTH]
     distance, bandwidth = rep.checks.values()
@@ -275,7 +276,7 @@ def test_cross_check_relay_scenario(diamond):
 
 
 def test_cross_check_chain_scenario(bridge):
-    rep = cross_check(bridge)
+    rep = cross_check([bridge])
     assert rep.connected_pairs == 6
     assert rep.checks[Metric.DISTANCE].match_rate == 1.0
     assert rep.checks[Metric.BANDWIDTH].match_rate == 1.0
@@ -295,7 +296,7 @@ def test_cross_check_at_the_oracle_limit():
         Metric.DISTANCE: Optimum(1350.0, tuple(range(1, n + 1))),
         Metric.BANDWIDTH: Optimum(1350.0 / 54.0, tuple(range(1, n + 1))),
     }
-    rep = cross_check(s)
+    rep = cross_check([s])
     assert rep.connected_pairs == 90
     for check in rep.checks.values():
         assert (check.matched, check.pairs) == (90, 90)
@@ -304,7 +305,7 @@ def test_cross_check_at_the_oracle_limit():
 def test_cross_check_refuses_large_scenarios():
     s = generate_scenario(template(vehicle_count=11, seed=1, area=(2000.0, 2000.0)))
     with pytest.raises(ValueError, match="oracle bound"):
-        cross_check(s)
+        cross_check([s])
 
 
 def test_cross_check_batch_aggregates():
@@ -322,13 +323,38 @@ def test_cross_check_batch_aggregates():
             frequency_pool=t.frequency_pool,
             bandwidth_range=t.bandwidth_range,
         )
-        singles.append(cross_check(generate_scenario(spec)))
+        singles.append(cross_check([generate_scenario(spec)]))
     assert total.connected_pairs == sum(r.connected_pairs for r in singles)
     for metric, check in total.checks.items():
         assert check.pairs == sum(r.checks[metric].pairs for r in singles)
         assert check.matched == sum(r.checks[metric].matched for r in singles)
         assert check.worst_gap == max(r.checks[metric].worst_gap for r in singles)
     assert total.checks[Metric.DISTANCE].match_rate == 1.0
+
+
+def test_cross_check_streams_into_one_report(diamond, bridge):
+    empty = cross_check([])
+    assert (empty.scenarios, empty.connected_pairs) == (0, 0)
+    assert [check.match_rate for check in empty.checks.values()] == [1.0, 1.0]
+    total = cross_check(iter([diamond, bridge]))
+    singles = [cross_check([diamond]), cross_check([bridge])]
+    assert (total.scenarios, total.connected_pairs) == (2, 18)
+    for metric, check in total.checks.items():
+        assert check.pairs == sum(r.checks[metric].pairs for r in singles)
+        assert check.matched == sum(r.checks[metric].matched for r in singles)
+        assert check.worst_gap == max(r.checks[metric].worst_gap for r in singles)
+
+
+def test_record_refuses_a_search_below_the_optimum():
+    with pytest.raises(RuntimeError, match="below exhaustive minimum"):
+        MetricCheck().record(1.0, 2.0)
+
+
+def test_cross_check_refuses_a_missed_route(diamond, monkeypatch):
+    # validate's pairs go through harness's astar, as compare's and sweep's do
+    monkeypatch.setattr(harness, "astar", lambda *args: None)
+    with pytest.raises(RuntimeError, match="has a path but the search found none"):
+        cross_check([diamond])
 
 
 def test_cross_check_batch_rejects_bad_counts():
@@ -357,7 +383,7 @@ def test_ratio_search_never_beats_its_oracle_and_bounds_shortest():
 
 
 def test_p_ordering_holds_when_ratio_check_is_clean(bridge):
-    rep = cross_check(bridge)
+    rep = cross_check([bridge])
     assert rep.checks[Metric.BANDWIDTH].match_rate == 1.0
     g = build_link_graph(bridge)
     for source in g.vehicle_ids:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -339,6 +340,27 @@ def test_load_wrong_types():
     bad["comm_range"] = True
     with pytest.raises(ScenarioFormatError, match="comm_range: expected a number"):
         load_scenario(json.dumps(bad))
+
+
+# document path -> how to put a value there
+NUMBER_FIELDS = {
+    "area.width": lambda doc, v: doc["area"].update(width=v),
+    "comm_range": lambda doc, v: doc.update(comm_range=v),
+    "vehicles[0].x": lambda doc, v: doc["vehicles"][0].update(x=v),
+    "vehicles[0].radios[0].bw": lambda doc, v: doc["vehicles"][0]["radios"][0].update(bw=v),
+}
+
+
+@pytest.mark.parametrize("path", NUMBER_FIELDS)
+def test_load_rejects_integers_too_large_for_a_float(path):
+    doc = {
+        "area": {"width": 10, "height": 10},
+        "comm_range": 5,
+        "vehicles": [{"id": 1, "x": 0, "y": 0, "radios": [{"id": 1, "freq": 1, "bw": 2}]}],
+    }
+    NUMBER_FIELDS[path](doc, 10**400)
+    with pytest.raises(ScenarioFormatError, match=f"^{re.escape(path)}: number out of float range$"):
+        load_scenario(json.dumps(doc))
 
 
 def test_load_malformed_json():

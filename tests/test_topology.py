@@ -190,7 +190,7 @@ def all_pairs_link_graph(scenario):
     for i, a in enumerate(order):
         for b in order[i + 1 :]:
             d = math.dist(a.position, b.position)
-            if d > scenario.comm_range:
+            if not d <= scenario.comm_range:
                 continue
             if not shared_frequency_pairs(a, b):
                 continue
@@ -272,23 +272,29 @@ def test_pair_rounded_onto_the_range_links():
 
 
 @pytest.mark.parametrize(
-    "area, comm_range, positions",
+    "area, comm_range, positions, problems, linked",
     [
-        ((1000.0, 1000.0), math.inf, [(0, 0), (1000, 1000), (500, 0), (0, 1000)]),
+        ((1000.0, 1000.0), math.inf, [(0, 0), (1000, 1000), (500, 0), (0, 1000)],
+         ["comm_range must be finite, got inf"], True),
         # x / comm_range overflows to inf
-        ((1e300, 1e300), 1e-300, [(1e300, 1e300), (1e300, 1e300), (0, 0), (5e299, 1e300)]),
+        ((1e300, 1e300), 1e-300, [(1e300, 1e300), (1e300, 1e300), (0, 0), (5e299, 1e300)], [], True),
+        # every comparison with NaN is false, so neither may pass as in range
+        ((100.0, 100.0), 50.0, [(0, 0), (math.nan, 0), (10, 0)],
+         ["vehicle 2: x must be finite, got nan"], False),
+        ((100.0, 100.0), math.nan, [(0, 0), (10, 0)], ["comm_range must be finite, got nan"], False),
     ],
-    ids=["infinite-range", "cell-index-overflow"],
+    ids=["infinite-range", "cell-index-overflow", "nan-position", "nan-range"],
 )
-def test_degenerate_ranges_match_all_pairs(area, comm_range, positions):
+def test_degenerate_ranges_match_all_pairs(area, comm_range, positions, problems, linked):
     vehicles = [make_vehicle(vid, x, y, [(1, 1, 1.0)]) for vid, (x, y) in enumerate(positions, 1)]
     s = Scenario(area, comm_range, tuple(vehicles))
-    # an infinite range no longer loads, but a Scenario built in code can
-    # still carry one, and the builder must still link every pair
-    expected = [] if math.isfinite(comm_range) else ["comm_range must be finite, got inf"]
-    assert validate_scenario(s) == expected
+    # a non-finite range or position no longer loads, but a Scenario built in
+    # code can still carry one, and the builder must link only pairs in range
+    assert validate_scenario(s) == problems
     assert_matches_all_pairs(s)
-    assert find_link(build_link_graph(s), 1, 2) is not None
+    g = build_link_graph(s)
+    assert all(link.distance <= comm_range for vid in g.vehicle_ids for link in g.neighbors(vid))
+    assert (find_link(g, 1, 2) is not None) == linked
 
 
 @given(seed=st.integers(0, 2**32), radios=st.integers(1, 2))
