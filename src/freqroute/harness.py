@@ -23,9 +23,10 @@ def lowest_connected_pair(graph: LinkGraph) -> tuple[int, int] | None:
 
     Every id below the first vehicle with a link is isolated, so that vehicle
     is the smallest id of its component and pairs with the smallest other id
-    it reaches.
+    it reaches. Ids are tried in ascending order up to that first vehicle, so
+    only their links are built; the rest is read off the neighbour ids.
     """
-    first = min((vid for vid in graph.vehicle_ids if graph.neighbors(vid)), default=None)
+    first = next((vid for vid in sorted(graph.vehicle_ids) if graph.neighbors(vid)), None)
     if first is None:
         return None
     return first, min(graph.reachable(first) - {first})

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .model import Radio, Scenario, Vehicle
@@ -30,6 +31,13 @@ class Link(NamedTuple):
 class LinkGraph:
     """Adjacency over vehicles that are within range and share a frequency.
 
+    Made from each vehicle's neighbour ids, ascending, and a function that
+    builds one vehicle's links from its id. `neighbors` calls that function
+    the first time it is asked for a vehicle and keeps the tuple; `in`,
+    `vehicle_ids`, `link_count` and `reachable` read the neighbour ids alone
+    and build no link. Two threads asking for the same vehicle at once may
+    both build its links, and both get equal tuples.
+
     Neighbor lists are sorted by vehicle id so traversals are reproducible.
     The graph is symmetric: a links to b iff b links to a, with the same
     distance. Each direction carries its own radio choice, made for its
@@ -37,35 +45,40 @@ class LinkGraph:
     off the link instead of choosing again.
     """
 
-    def __init__(self, adjacency: dict[int, list[Link]]):
-        self._adj: dict[int, tuple[Link, ...]] = {
-            vid: tuple(links) for vid, links in adjacency.items()
-        }
+    def __init__(self, near: dict[int, list[int]], build_links: Callable[[int], tuple[Link, ...]]):
+        self._near = near  # vehicle id -> ids it links to, ascending
+        self._build_links = build_links
+        self._links: dict[int, tuple[Link, ...]] = {}
 
     def __contains__(self, vehicle_id: int) -> bool:
-        return vehicle_id in self._adj
+        return vehicle_id in self._near
 
     @property
     def vehicle_ids(self) -> tuple[int, ...]:
-        return tuple(self._adj)
+        return tuple(self._near)
 
     def neighbors(self, vehicle_id: int) -> tuple[Link, ...]:
-        return self._adj[vehicle_id]
+        try:
+            return self._links[vehicle_id]
+        except KeyError:
+            pass
+        links = self._links[vehicle_id] = self._build_links(vehicle_id)
+        return links
 
     def link_count(self) -> int:
         """Number of undirected links."""
-        return sum(len(links) for links in self._adj.values()) // 2
+        return sum(map(len, self._near.values())) // 2
 
     def reachable(self, vehicle_id: int) -> set[int]:
         """Every vehicle connected to `vehicle_id`, itself included."""
+        near = self._near
         seen = {vehicle_id}
         queue = deque([vehicle_id])
         while queue:
-            u = queue.popleft()
-            for l in self._adj[u]:
-                if l.to_vehicle not in seen:
-                    seen.add(l.to_vehicle)
-                    queue.append(l.to_vehicle)
+            for w in near[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
         return seen
 
 
@@ -102,17 +115,16 @@ def _ranked_radios(v: Vehicle) -> tuple[Radio, ...]:
 
 
 def _hop_choice(a_plan, b_plan) -> tuple:
-    """The radio pair of a hop from a to b and its receiver's rank in b_plan, or (None, None).
+    """The radio pair of a hop from a to b and its receiver's rank in b_plan.
 
-    Plans are (channel, radio id) tuples in ranked order. b receives on its
-    first-ranked radio whose channel a also has; a sends from its lowest
-    radio id on that channel.
+    Plans are (channel, radio id) tuples in ranked order, and the two share
+    a channel. b receives on its first-ranked radio whose channel a also
+    has; a sends from its lowest radio id on that channel.
     """
     for k, (channel, rx) in enumerate(b_plan):
         senders = [tx for ch, tx in a_plan if ch == channel]
         if senders:
             return (min(senders), rx), k
-    return None, None
 
 
 def build_link_graph(scenario: Scenario) -> LinkGraph:
@@ -120,29 +132,27 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
 
     A link between a and b exists iff their straight-line distance is at
     most comm_range (equality counts as connected) and the two share a
-    channel. Every vehicle appears as a vertex even when isolated. Each
-    direction's radio pair is chosen here, once, from the receiver's radios
-    ranked by bandwidth then id (see Link).
+    channel. Every vehicle appears as a vertex even when isolated.
 
     Candidates come from a uniform grid (fixed-radius near-neighbour
     bucketing, Bentley, Stanat & Williams 1977): every pair within range lies
     in the same or adjacent cells, so only the 3x3 block around a vehicle is
     tested. Pairs are visited in the order of an all-pairs scan by id, so
-    neighbour lists come out sorted by id.
+    neighbour lists come out sorted by id. The pass records neighbour ids
+    only; a shared channel is one AND of the two vehicles' channel bitmasks.
+
+    A vehicle's `Link` tuple is built on its first `neighbors` call: each
+    direction's radio pair is chosen then, from the receiver's radios ranked
+    by bandwidth then id (see Link), and the distance is computed again,
+    to the same float.
     """
     order = sorted(scenario.vehicles, key=lambda v: v.vehicle_id)
-    adjacency: dict[int, list[Link]] = {v.vehicle_id: [] for v in order}
     # each vehicle is read once, into lists the candidate loop indexes
     ids = [v.vehicle_id for v in order]
     xs = [v.position[0] for v in order]
     ys = [v.position[1] for v in order]
-    links = [adjacency[vid] for vid in ids]  # index -> that vehicle's link list
-    side = _cell_side(scenario)
-    keys = [(0, 0) if side is None else (int(x // side), int(y // side)) for x, y in zip(xs, ys)]
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(keys):
-        cells.setdefault(key, []).append(i)
-    blocks: dict[tuple[int, int], list[int]] = {}  # cell -> sorted members of its 3x3 block
+    near: dict[int, list[int]] = {vid: [] for vid in ids}
+    lists = [near[vid] for vid in ids]  # index -> that vehicle's neighbour ids
     # a hop's radio pair and receiver rank depend only on the two ranked
     # (channel, radio id) plans, so vehicles with the same plan share every
     # _hop_choice result; the bandwidth is read off the receiver's own radios
@@ -153,8 +163,19 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
         for radios in ranked
     ]
     plans = list(numbered)  # plan number -> plan
-    memo: list[dict[int, tuple]] = [{} for _ in plans]
-    reach, hypot, new = scenario.comm_range, math.hypot, tuple.__new__
+    bits: dict = {}  # channel -> its bit, numbered by first appearance
+    # a NaN channel equals no channel, itself included, so it gets no bit
+    plan_masks = [
+        sum({1 << bits.setdefault(ch, len(bits)) for ch, _ in plan if ch == ch}) for plan in plans
+    ]
+    masks = [plan_masks[no] for no in plan_nos]
+    side = _cell_side(scenario)
+    keys = [(0, 0) if side is None else (int(x // side), int(y // side)) for x, y in zip(xs, ys)]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        cells.setdefault(key, []).append(i)
+    blocks: dict[tuple[int, int], list[int]] = {}  # cell -> sorted members of its 3x3 block
+    reach, hypot = scenario.comm_range, math.hypot
     for i, key in enumerate(keys):
         block = blocks.get(key)
         if block is None:
@@ -162,23 +183,40 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
             block = blocks[key] = sorted(
                 j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for j in cells.get((cx + dx, cy + dy), ())
             )
-        a_id, ax, ay, a_no = ids[i], xs[i], ys[i], plan_nos[i]
-        a_memo, a_links = memo[a_no], links[i]
+        a_id, ax, ay, a_mask, a_near = ids[i], xs[i], ys[i], masks[i], lists[i]
         for j in block[bisect_right(block, i):]:
-            d = hypot(ax - xs[j], ay - ys[j])
-            if not d <= reach:
-                continue
+            if a_mask & masks[j] and hypot(ax - xs[j], ay - ys[j]) <= reach:
+                a_near.append(ids[j])
+                lists[j].append(a_id)
+    return LinkGraph(near, _link_builder(near, ids, xs, ys, ranked, plan_nos, plans))
+
+
+def _link_builder(near, ids, xs, ys, ranked, plan_nos, plans) -> Callable[[int], tuple[Link, ...]]:
+    """The function that builds one vehicle's links, from build_link_graph's per-index lists.
+
+    It keeps only what it is given, so the grid dies with build_link_graph.
+    Each (sender plan, receiver plan) _hop_choice is made once.
+    """
+    memo: list[dict[int, tuple]] = [{} for _ in plans]
+    hypot, new = math.hypot, tuple.__new__
+
+    def build_links(a_id: int) -> tuple[Link, ...]:
+        b_ids = near[a_id]  # an unknown id raises KeyError here
+        i = bisect_left(ids, a_id)  # ids ascend, so bisection finds each index
+        ax, ay, a_no = xs[i], ys[i], plan_nos[i]
+        a_memo, links = memo[a_no], []
+        for b_id in b_ids:
+            j = bisect_left(ids, b_id)
             b_no = plan_nos[j]
-            ahead = a_memo.get(b_no)
-            if ahead is None:
-                ahead = a_memo[b_no] = _hop_choice(plans[a_no], plans[b_no])
-                memo[b_no][a_no] = _hop_choice(plans[b_no], plans[a_no])
-            pair, k = ahead
-            if pair is not None:
-                b_id = ids[j]
-                back_pair, back_k = memo[b_no][a_no]
-                # new(Link, fields) is Link(*fields) without the Python-level
-                # __new__ that NamedTuple generates, the costliest step per link
-                a_links.append(new(Link, (a_id, b_id, d, pair, ranked[j][k].bandwidth)))
-                links[j].append(new(Link, (b_id, a_id, d, back_pair, ranked[i][back_k].bandwidth)))
-    return LinkGraph(adjacency)
+            choice = a_memo.get(b_no)
+            if choice is None:
+                choice = a_memo[b_no] = _hop_choice(plans[a_no], plans[b_no])
+            pair, k = choice
+            # new(Link, fields) is Link(*fields) without the Python-level
+            # __new__ that NamedTuple generates; hypot(-dx, -dy) equals
+            # hypot(dx, dy), so both directions carry the same distance
+            d = hypot(ax - xs[j], ay - ys[j])
+            links.append(new(Link, (a_id, b_id, d, pair, ranked[j][k].bandwidth)))
+        return tuple(links)
+
+    return build_links

@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import pytest
@@ -150,9 +151,15 @@ def fleet_3000(seed, radios=2, channels=3):
     this one: mean degree about 12, one giant component. `radios` and
     `channels` (the pool is 1..channels) change the radio plans only.
     """
+    return fleet_at_sweep_density(seed, 3000, radios, channels)
+
+
+def fleet_at_sweep_density(seed, count, radios=2, channels=3):
+    """`count` vehicles at fleet_3000's density: range 250 and 12,000 m² of area a vehicle."""
+    side = 6000.0 * math.sqrt(count / 3000)
     return generate_scenario(
         GenSpec(
-            seed, 3000, (6000.0, 6000.0), 250.0, radios,
+            seed, count, (side, side), 250.0, radios,
             tuple(range(1, channels + 1)), (2.0, 10.0),
         )
     )

@@ -24,7 +24,7 @@ from freqroute import (
     summarize_sweep,
     sweep_csv,
 )
-from freqroute import harness
+from freqroute import harness, topology
 from conftest import components_lowest_pair, fleet_3000, make_vehicle, route_from_sequence
 
 
@@ -92,7 +92,7 @@ def test_lowest_connected_pair_matches_components(scenario, data):
     assert lowest_connected_pair(g) == components_lowest_pair(g)
     # the same links with the graph's vehicles listed out of id order
     order = data.draw(st.permutations(g.vehicle_ids))
-    shuffled = LinkGraph({vid: g.neighbors(vid) for vid in order})
+    shuffled = LinkGraph({vid: [l.to_vehicle for l in g.neighbors(vid)] for vid in order}, g.neighbors)
     assert lowest_connected_pair(shuffled) == components_lowest_pair(g)
 
 
@@ -104,6 +104,30 @@ def test_lowest_connected_pair_matches_components_on_sweep_rounds_and_fleet():
         g = build_link_graph(scenario)
         pair = lowest_connected_pair(g)
         assert pair is not None and pair == components_lowest_pair(g)
+
+
+def test_a_sweep_query_builds_few_vehicles_links(monkeypatch):
+    # links are built per vehicle on first use: the pair and the two searches
+    # of a 3000-vehicle round must not build them all
+    built = []
+    make_builder = topology._link_builder
+
+    def counting_builder(*args):
+        build_links = make_builder(*args)
+
+        def counted(vid):
+            built.append(vid)
+            return build_links(vid)
+        return counted
+
+    monkeypatch.setattr(topology, "_link_builder", counting_builder)
+    scenario = fleet_3000(1)
+    g = build_link_graph(scenario)
+    assert built == []
+    pair = lowest_connected_pair(g)
+    assert None not in compare_routes(scenario, g, *pair).values()
+    assert len(built) == len(set(built))  # each vehicle's links are built once
+    assert 0 < len(built) < 0.1 * len(scenario.vehicles)
 
 
 # --- compare ---------------------------------------------------------------

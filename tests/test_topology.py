@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -6,15 +9,19 @@ from hypothesis import example, given, strategies as st
 from freqroute import (
     Scenario,
     build_link_graph,
+    compare_routes,
     generate_scenario,
+    lowest_connected_pair,
     validate_scenario,
 )
 from freqroute.model import GenSpec
 from freqroute.topology import Link, LinkGraph
 from conftest import (
+    components_lowest_pair,
     find_link,
     find_radio,
     fleet_3000,
+    fleet_at_sweep_density,
     make_vehicle,
     select_radio_pair,
     shared_frequency_pairs,
@@ -198,7 +205,8 @@ def all_pairs_link_graph(scenario):
                 unchosen = Link(u.vehicle_id, v.vehicle_id, d, None, None)
                 pair, bw = select_radio_pair(scenario, unchosen)
                 adjacency[u.vehicle_id].append(unchosen._replace(radio_pair=pair, bandwidth=bw))
-    return LinkGraph(adjacency)
+    near = {vid: [l.to_vehicle for l in links] for vid, links in adjacency.items()}
+    return LinkGraph(near, lambda vid: tuple(adjacency[vid]))
 
 
 def assert_matches_all_pairs(scenario):
@@ -271,23 +279,28 @@ def test_pair_rounded_onto_the_range_links():
     assert find_link(g, 1, 2).distance == 256.0
 
 
-@pytest.mark.parametrize(
-    "area, comm_range, positions, problems, linked",
-    [
-        ((1000.0, 1000.0), math.inf, [(0, 0), (1000, 1000), (500, 0), (0, 1000)],
-         ["comm_range must be finite, got inf"], True),
-        # x / comm_range overflows to inf
-        ((1e300, 1e300), 1e-300, [(1e300, 1e300), (1e300, 1e300), (0, 0), (5e299, 1e300)], [], True),
-        # every comparison with NaN is false, so neither may pass as in range
-        ((100.0, 100.0), 50.0, [(0, 0), (math.nan, 0), (10, 0)],
-         ["vehicle 2: x must be finite, got nan"], False),
-        ((100.0, 100.0), math.nan, [(0, 0), (10, 0)], ["comm_range must be finite, got nan"], False),
-    ],
-    ids=["infinite-range", "cell-index-overflow", "nan-position", "nan-range"],
-)
-def test_degenerate_ranges_match_all_pairs(area, comm_range, positions, problems, linked):
+DEGENERATE_RANGES = [
+    pytest.param((1000.0, 1000.0), math.inf, [(0, 0), (1000, 1000), (500, 0), (0, 1000)],
+                 ["comm_range must be finite, got inf"], True, id="infinite-range"),
+    # x / comm_range overflows to inf
+    pytest.param((1e300, 1e300), 1e-300, [(1e300, 1e300), (1e300, 1e300), (0, 0), (5e299, 1e300)],
+                 [], True, id="cell-index-overflow"),
+    # every comparison with NaN is false, so neither may pass as in range
+    pytest.param((100.0, 100.0), 50.0, [(0, 0), (math.nan, 0), (10, 0)],
+                 ["vehicle 2: x must be finite, got nan"], False, id="nan-position"),
+    pytest.param((100.0, 100.0), math.nan, [(0, 0), (10, 0)],
+                 ["comm_range must be finite, got nan"], False, id="nan-range"),
+]
+
+
+def one_channel_fleet(area, comm_range, positions):
     vehicles = [make_vehicle(vid, x, y, [(1, 1, 1.0)]) for vid, (x, y) in enumerate(positions, 1)]
-    s = Scenario(area, comm_range, tuple(vehicles))
+    return Scenario(area, comm_range, tuple(vehicles))
+
+
+@pytest.mark.parametrize("area, comm_range, positions, problems, linked", DEGENERATE_RANGES)
+def test_degenerate_ranges_match_all_pairs(area, comm_range, positions, problems, linked):
+    s = one_channel_fleet(area, comm_range, positions)
     # a non-finite range or position no longer loads, but a Scenario built in
     # code can still carry one, and the builder must link only pairs in range
     assert validate_scenario(s) == problems
@@ -295,6 +308,75 @@ def test_degenerate_ranges_match_all_pairs(area, comm_range, positions, problems
     g = build_link_graph(s)
     assert all(link.distance <= comm_range for vid in g.vehicle_ids for link in g.neighbors(vid))
     assert (find_link(g, 1, 2) is not None) == linked
+
+
+def test_nan_channel_links_nothing():
+    # NaN equals no channel, the very same NaN object included; the second
+    # pair also shares channel 2, which links it
+    nan = math.nan
+    s = Scenario((100.0, 100.0), 50.0, (
+        make_vehicle(1, 0, 0, [(1, nan, 1.0)]),
+        make_vehicle(2, 10, 0, [(1, nan, 1.0)]),
+        make_vehicle(3, 0, 10, [(1, nan, 9.0), (2, 2, 1.0)]),
+        make_vehicle(4, 10, 10, [(1, 2, 1.0), (2, nan, 9.0)]),
+    ))
+    assert_matches_all_pairs(s)
+    g = build_link_graph(s)
+    assert g.link_count() == 1
+    assert find_link(g, 3, 4).radio_pair == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        pytest.param(fleet_at_sweep_density(1, 30), id="30"),
+        pytest.param(fleet_at_sweep_density(2, 300), id="300"),
+        pytest.param(fleet_at_sweep_density(3, 300, radios=4, channels=8), id="300-4-radios-8-channels"),
+        *(pytest.param(one_channel_fleet(*p.values[:3]), id=p.id) for p in DEGENERATE_RANGES),
+    ],
+)
+def test_links_built_on_first_use_match_all_pairs(scenario):
+    # everything that reads the graph before its links are read must leave
+    # them as the all-pairs builder makes them, whatever order they are read in
+    g, ref = build_link_graph(scenario), all_pairs_link_graph(scenario)
+    ids = sorted(ref.vehicle_ids)
+    assert [g.reachable(vid) for vid in ids] == [ref.reachable(vid) for vid in ids]
+    assert g.link_count() == ref.link_count()
+    pair = lowest_connected_pair(g)
+    assert pair == components_lowest_pair(ref)
+    if pair is not None:
+        assert compare_routes(scenario, g, *pair) == compare_routes(scenario, ref, *pair)
+    assert g.vehicle_ids == ref.vehicle_ids
+    for vid in random.Random(len(ids)).sample(ids, len(ids)):
+        assert g.neighbors(vid) == ref.neighbors(vid)
+
+
+def test_concurrent_readers_get_the_all_pairs_links():
+    # readers racing for one vehicle may both build its links; each must get
+    # the reference tuples, and the graph must keep serving them
+    scenario = fleet_at_sweep_density(4, 300)
+    g, ref = build_link_graph(scenario), all_pairs_link_graph(scenario)
+    ids = sorted(ref.vehicle_ids)
+    expected = {vid: ref.neighbors(vid) for vid in ids}
+    results = [None] * 4
+
+    def read(k):
+        order = random.Random(k).sample(ids, len(ids))
+        results[k] = {vid: g.neighbors(vid) for vid in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
+    assert {vid: g.neighbors(vid) for vid in ids} == expected
 
 
 @given(seed=st.integers(0, 2**32), radios=st.integers(1, 2))
