@@ -239,7 +239,9 @@ def load_scenario(text: str) -> Scenario:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError is a ValueError, as is an integer literal past the
+    # int-string conversion limit; nesting too deep raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
     scenario = _scenario_from_raw(raw)
     problems = validate_scenario(scenario)

@@ -61,6 +61,16 @@ def k4():
     )
 
 
+# text json.loads refuses with something other than a JSONDecodeError
+UNPARSABLE_JSON = {
+    "nested-200000-deep": "[" * 200_000,  # RecursionError
+    "5001-digit-integer": (  # ValueError: past the int-string conversion limit
+        '{"area": {"width": 10, "height": 10}, "comm_range": 5, "vehicles": ['
+        '{"id": 1, "x": ' + "1" * 5001 + ', "y": 0, "radios": [{"id": 1, "freq": 1, "bw": 2}]}]}'
+    ),
+}
+
+
 def find_link(graph, from_vehicle, to_vehicle):
     """The link from one vehicle to another, or None when they are not linked."""
     return next((l for l in graph.neighbors(from_vehicle) if l.to_vehicle == to_vehicle), None)

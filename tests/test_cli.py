@@ -7,7 +7,7 @@ import pytest
 
 import freqroute
 from freqroute import Scenario, cli, load_scenario, save_scenario
-from conftest import make_vehicle
+from conftest import UNPARSABLE_JSON, make_vehicle
 
 
 def write_scenario(tmp_path, scenario, name="s.json"):
@@ -174,6 +174,16 @@ def test_route_malformed_json(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
     )
+
+
+@pytest.mark.parametrize("text", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON)
+def test_route_unparsable_json_is_invalid_input(text, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert cli.main(["route", "--scenario", str(bad), "--src", "1", "--dst", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON: ")
 
 
 def test_route_rejects_invalid_scenario(tmp_path, capsys):

@@ -18,7 +18,7 @@ from freqroute import (
     save_scenario,
     validate_scenario,
 )
-from conftest import make_vehicle
+from conftest import UNPARSABLE_JSON, make_vehicle
 
 
 def small_spec(**overrides):
@@ -366,6 +366,12 @@ def test_load_rejects_integers_too_large_for_a_float(path):
 def test_load_malformed_json():
     with pytest.raises(ScenarioFormatError, match="invalid JSON"):
         load_scenario("{not json")
+
+
+@pytest.mark.parametrize("text", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON)
+def test_load_unparsable_json_is_a_format_error(text):
+    with pytest.raises(ScenarioFormatError, match="^invalid JSON: "):
+        load_scenario(text)
 
 
 def test_load_rejects_invalid_scenario():
