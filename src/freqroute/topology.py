@@ -114,19 +114,6 @@ def _ranked_radios(v: Vehicle) -> tuple[Radio, ...]:
     return tuple(sorted(v.radios, key=lambda r: (-r.bandwidth, r.radio_id)))
 
 
-def _hop_choice(a_plan, b_plan) -> tuple:
-    """The radio pair of a hop from a to b and its receiver's rank in b_plan.
-
-    Plans are (channel, radio id) tuples in ranked order, and the two share
-    a channel. b receives on its first-ranked radio whose channel a also
-    has; a sends from its lowest radio id on that channel.
-    """
-    for k, (channel, rx) in enumerate(b_plan):
-        senders = [tx for ch, tx in a_plan if ch == channel]
-        if senders:
-            return (min(senders), rx), k
-
-
 def build_link_graph(scenario: Scenario) -> LinkGraph:
     """Derive the link graph from vehicle positions, range, and channel plans.
 
@@ -141,10 +128,10 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
     neighbour lists come out sorted by id. The pass records neighbour ids
     only; a shared channel is one AND of the two vehicles' channel bitmasks.
 
-    A vehicle's `Link` tuple is built on its first `neighbors` call: each
-    direction's radio pair is chosen then, from the receiver's radios ranked
-    by bandwidth then id (see Link), and the distance is computed again,
-    to the same float.
+    A vehicle's `Link` tuple is built on its first `neighbors` call, which
+    chooses each direction's radio pair from the two vehicles' radios (see
+    Link and _link_builder) and computes the distance again, to the same
+    float.
     """
     order = sorted(scenario.vehicles, key=lambda v: v.vehicle_id)
     # each vehicle is read once, into lists the candidate loop indexes
@@ -153,22 +140,12 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
     ys = [v.position[1] for v in order]
     near: dict[int, list[int]] = {vid: [] for vid in ids}
     lists = [near[vid] for vid in ids]  # index -> that vehicle's neighbour ids
-    # a hop's radio pair and receiver rank depend only on the two ranked
-    # (channel, radio id) plans, so vehicles with the same plan share every
-    # _hop_choice result; the bandwidth is read off the receiver's own radios
-    ranked = [_ranked_radios(v) for v in order]
-    numbered: dict[tuple, int] = {}  # ranked (channel, radio id) plan -> its number
-    plan_nos = [
-        numbered.setdefault(tuple((r.frequency, r.radio_id) for r in radios), len(numbered))
-        for radios in ranked
-    ]
-    plans = list(numbered)  # plan number -> plan
     bits: dict = {}  # channel -> its bit, numbered by first appearance
     # a NaN channel equals no channel, itself included, so it gets no bit
-    plan_masks = [
-        sum({1 << bits.setdefault(ch, len(bits)) for ch, _ in plan if ch == ch}) for plan in plans
+    masks = [
+        sum({1 << bits.setdefault(r.frequency, len(bits)) for r in v.radios if r.frequency == r.frequency})
+        for v in order
     ]
-    masks = [plan_masks[no] for no in plan_nos]
     side = _cell_side(scenario)
     keys = [(0, 0) if side is None else (int(x // side), int(y // side)) for x, y in zip(xs, ys)]
     cells: dict[tuple[int, int], list[int]] = {}
@@ -188,35 +165,50 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
             if a_mask & masks[j] and hypot(ax - xs[j], ay - ys[j]) <= reach:
                 a_near.append(ids[j])
                 lists[j].append(a_id)
-    return LinkGraph(near, _link_builder(near, ids, xs, ys, ranked, plan_nos, plans))
+    return LinkGraph(near, _link_builder(near, order, ids, xs, ys))
 
 
-def _link_builder(near, ids, xs, ys, ranked, plan_nos, plans) -> Callable[[int], tuple[Link, ...]]:
+def _link_builder(near, order, ids, xs, ys) -> Callable[[int], tuple[Link, ...]]:
     """The function that builds one vehicle's links, from build_link_graph's per-index lists.
 
     It keeps only what it is given, so the grid dies with build_link_graph.
-    Each (sender plan, receiver plan) _hop_choice is made once.
+    The hop from a into b takes b's first radio in _ranked_radios order whose
+    channel a also has, and a's lowest radio id on that channel. A vehicle's
+    radios are ranked the first time it is a receiver, and only then. Links
+    with equal radio pairs share one pair tuple, so a 3000-vehicle fleet's
+    ~37,000 links do not each hold their own (about 2 MB).
     """
-    memo: list[dict[int, tuple]] = [{} for _ in plans]
+    ranked: list[tuple[Radio, ...] | None] = [None] * len(order)  # index -> ranked radios
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # radio pair -> its shared tuple
     hypot, new = math.hypot, tuple.__new__
 
     def build_links(a_id: int) -> tuple[Link, ...]:
         b_ids = near[a_id]  # an unknown id raises KeyError here
         i = bisect_left(ids, a_id)  # ids ascend, so bisection finds each index
-        ax, ay, a_no = xs[i], ys[i], plan_nos[i]
-        a_memo, links = memo[a_no], []
+        ax, ay = xs[i], ys[i]
+        # channel -> a's lowest radio id on it: later entries overwrite earlier
+        # ones, so the ids go in descending; a NaN channel equals no channel,
+        # but a dict would find the very same NaN object, so it is left out
+        senders = {
+            r.frequency: r.radio_id
+            for r in sorted(order[i].radios, key=lambda r: r.radio_id, reverse=True)
+            if r.frequency == r.frequency
+        }
+        links = []
         for b_id in b_ids:
             j = bisect_left(ids, b_id)
-            b_no = plan_nos[j]
-            choice = a_memo.get(b_no)
-            if choice is None:
-                choice = a_memo[b_no] = _hop_choice(plans[a_no], plans[b_no])
-            pair, k = choice
+            receivers = ranked[j]
+            if receivers is None:
+                receivers = ranked[j] = _ranked_radios(order[j])
+            for rx in receivers:  # b shares a channel with a, so one of these breaks
+                if rx.frequency in senders:
+                    break
             # new(Link, fields) is Link(*fields) without the Python-level
             # __new__ that NamedTuple generates; hypot(-dx, -dy) equals
             # hypot(dx, dy), so both directions carry the same distance
             d = hypot(ax - xs[j], ay - ys[j])
-            links.append(new(Link, (a_id, b_id, d, pair, ranked[j][k].bandwidth)))
+            pair = (senders[rx.frequency], rx.radio_id)
+            links.append(new(Link, (a_id, b_id, d, pairs.setdefault(pair, pair), rx.bandwidth)))
         return tuple(links)
 
     return build_links

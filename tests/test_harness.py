@@ -108,9 +108,15 @@ def test_lowest_connected_pair_matches_components_on_sweep_rounds_and_fleet():
 
 def test_a_sweep_query_builds_few_vehicles_links(monkeypatch):
     # links are built per vehicle on first use: the pair and the two searches
-    # of a 3000-vehicle round must not build them all
-    built = []
+    # of a 3000-vehicle round must not build them all, nor rank every
+    # vehicle's radios
+    built, ranked = [], []
     make_builder = topology._link_builder
+    rank = topology._ranked_radios
+
+    def counting_rank(vehicle):
+        ranked.append(vehicle.vehicle_id)
+        return rank(vehicle)
 
     def counting_builder(*args):
         build_links = make_builder(*args)
@@ -121,13 +127,17 @@ def test_a_sweep_query_builds_few_vehicles_links(monkeypatch):
         return counted
 
     monkeypatch.setattr(topology, "_link_builder", counting_builder)
+    monkeypatch.setattr(topology, "_ranked_radios", counting_rank)
     scenario = fleet_3000(1)
     g = build_link_graph(scenario)
-    assert built == []
+    assert built == ranked == []
     pair = lowest_connected_pair(g)
     assert None not in compare_routes(scenario, g, *pair).values()
     assert len(built) == len(set(built))  # each vehicle's links are built once
     assert 0 < len(built) < 0.1 * len(scenario.vehicles)
+    # a vehicle's radios are ranked once, when it first receives a built link
+    assert len(ranked) == len(set(ranked))
+    assert set(ranked) == {link.to_vehicle for vid in built for link in g.neighbors(vid)}
 
 
 # --- compare ---------------------------------------------------------------
