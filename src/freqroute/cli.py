@@ -107,11 +107,11 @@ def _genspec(args) -> GenSpec:
     return GenSpec(
         seed=args.seed,
         vehicle_count=args.vehicles,
-        area=tuple(args.area),
+        area=args.area,
         comm_range=args.comm_range,
         radios_per_vehicle=args.radios,
-        frequency_pool=tuple(args.freqs),
-        bandwidth_range=tuple(args.bw),
+        frequency_pool=args.freqs,
+        bandwidth_range=args.bw,
     )
 
 

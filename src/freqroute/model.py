@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class ScenarioError(Exception):
@@ -25,12 +26,15 @@ class ScenarioValidationError(ScenarioError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class Radio:
+class Radio(NamedTuple):
     """A transceiver: the channel it operates on and its bandwidth rating.
 
     Frequencies are opaque channel identifiers; two radios can talk iff their
     channels compare equal. Bandwidth is in kb/s and must be positive.
+
+    `Radio` and `Vehicle` are NamedTuples: each equals the plain tuple of its
+    fields, and iterates and orders as that tuple. Fields are stored as given,
+    so a `Vehicle` built from lists keeps those lists.
     """
 
     radio_id: int
@@ -38,15 +42,10 @@ class Radio:
     bandwidth: float
 
 
-@dataclass(frozen=True)
-class Vehicle:
+class Vehicle(NamedTuple):
     vehicle_id: int
     position: tuple[float, float]
     radios: tuple[Radio, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", tuple(self.position))
-        object.__setattr__(self, "radios", tuple(self.radios))
 
 
 @dataclass(frozen=True)

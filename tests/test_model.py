@@ -44,6 +44,11 @@ def test_vehicle_lookup(bridge):
         bridge.vehicle(99)
 
 
+def test_radio_and_vehicle_equal_their_field_tuples():
+    assert Radio(1, 2, 4.0) == (1, 2, 4.0)
+    assert Vehicle(3, (5.0, 6.0), (Radio(1, 2, 4.0),)) == (3, (5.0, 6.0), ((1, 2, 4.0),))
+
+
 # --- validate_scenario -----------------------------------------------------
 
 
