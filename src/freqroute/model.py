@@ -84,6 +84,21 @@ def _size_problem(name: str, value: float) -> str | None:
     return None
 
 
+def _cost_bound_problem(vehicle_count: int, w: float, h: float, smallest_bw: float) -> str | None:
+    """Why costs could overflow on this many vehicles in a w x h area, else None.
+
+    A simple route has at most vehicle_count - 1 hops, each no longer than the
+    area's diagonal, and its bandwidth sum is at least the smallest bw. So
+    vehicle_count * diagonal / smallest_bw, taken left to right, bounds every
+    distance sum, A* estimate and distance/bandwidth ratio; it must be finite.
+    """
+    diagonal = math.hypot(w, h)
+    if math.isfinite(vehicle_count * diagonal / smallest_bw):
+        return None
+    return (f"area, bw: vehicle count * area diagonal / smallest bw must be finite, "
+            f"got {vehicle_count} * {diagonal} / {smallest_bw}")
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Collect every invariant violation; an empty list means the scenario is valid.
 
@@ -91,9 +106,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     of them at once. Checks: finite numbers (each violation names its
     document field), positive area and range, unique vehicle ids, non-empty
     radio lists with unique per-vehicle radio ids, positive bandwidths whose
-    per-vehicle maxima have a finite sum, and positions inside the area
-    bounds. These are what keep every link distance, bandwidth sum and ratio
-    finite.
+    per-vehicle maxima have a finite sum, positions inside the area bounds,
+    and a finite cost bound (see _cost_bound_problem). These are what keep
+    every link distance, route cost, bandwidth sum and ratio finite.
     """
     problems: list[str] = []
     w, h = scenario.area
@@ -101,6 +116,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     problems += filter(None, (_size_problem(name, value) for name, value in sizes))
     seen: set[int] = set()
     peak_sum = 0.0
+    smallest = math.inf  # the smallest valid bw of all
     for v in scenario.vehicles:
         if v.vehicle_id in seen:
             problems.append(f"duplicate vehicle_id {v.vehicle_id}")
@@ -127,13 +143,19 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             if not 0 < r.bandwidth < math.inf:  # _size_problem's test, without a name per radio
                 name = f"vehicle {v.vehicle_id} radio {r.radio_id}: bw"
                 problems.append(_size_problem(name, r.bandwidth))
-            elif r.bandwidth > largest:
-                largest = r.bandwidth
+            else:
+                if r.bandwidth > largest:
+                    largest = r.bandwidth
+                if r.bandwidth < smallest:
+                    smallest = r.bandwidth
         peak_sum += largest
     # a simple route receives on at most one radio per vehicle, so the sum of
     # each vehicle's largest valid bw bounds every route's bandwidth sum
     if not math.isfinite(peak_sum):
         problems.append(f"bw: each vehicle's largest bw must sum to a finite total, got {peak_sum}")
+    # an area side already reported gets no second message
+    if 0 < w < math.inf and 0 < h < math.inf:
+        problems += filter(None, [_cost_bound_problem(len(scenario.vehicles), w, h, smallest)])
     return problems
 
 
@@ -155,6 +177,10 @@ class GenSpec:
         object.__setattr__(self, "bandwidth_range", tuple(self.bandwidth_range))
 
 
+# generated bandwidths are rounded to one decimal, and one that rounds to 0.0 is raised to this
+_MIN_GENERATED_BW = 0.1
+
+
 def _check_genspec(spec: GenSpec) -> None:
     if spec.vehicle_count < 1:
         raise ValueError(f"vehicle_count must be >= 1, got {spec.vehicle_count}")
@@ -171,6 +197,9 @@ def _check_genspec(spec: GenSpec) -> None:
             raise ValueError(problem)
     if lo > hi:
         raise ValueError(f"bandwidth_range must satisfy min <= max, got ({lo}, {hi})")
+    problem = _cost_bound_problem(spec.vehicle_count, w, h, _MIN_GENERATED_BW)
+    if problem:
+        raise ValueError(problem)
 
 
 def generate_scenario(spec: GenSpec) -> Scenario:
@@ -194,7 +223,7 @@ def generate_scenario(spec: GenSpec) -> Scenario:
             freq = rng.choice(spec.frequency_pool)
             bw = round(rng.uniform(lo, hi), 1)
             if bw <= 0:
-                bw = 0.1  # rounding can land on 0.0 when the range min is tiny
+                bw = _MIN_GENERATED_BW  # rounding can land on 0.0 when the range min is tiny
             radios.append(Radio(rid, freq, bw))
         vehicles.append(Vehicle(vid, (x, y), tuple(radios)))
     return Scenario((w, h), spec.comm_range, tuple(vehicles))

@@ -71,6 +71,28 @@ UNPARSABLE_JSON = {
 }
 
 
+# valid in every field, yet a route cost overflows: (scenario, the one violation)
+COST_OVERFLOW = {
+    # 10 m at bw 1e-320 is a ratio of 1e321
+    "subnormal-bw": (
+        Scenario((100.0, 100.0), 50.0, tuple(
+            make_vehicle(vid, x, 0, [(1, 1, 1e-320)]) for vid, x in ((1, 0), (2, 10), (3, 20))
+        )),
+        "area, bw: vehicle count * area diagonal / smallest bw must be finite, "
+        "got 3 * 141.4213562373095 / 1e-320",
+    ),
+    # each hop is finite, the two-hop distance sum 1→2→3 is not
+    "huge-area": (
+        Scenario((1.7e308, 1.7e308), 1.5e308, (
+            make_vehicle(1, 0, 0, [(1, 1, 1.0)]),
+            make_vehicle(2, 1.5e308, 0, [(1, 1, 1.0), (2, 2, 1.0)]),
+            make_vehicle(3, 1e307, 0, [(1, 2, 1.0)]),
+        )),
+        "area, bw: vehicle count * area diagonal / smallest bw must be finite, got 3 * inf / 1.0",
+    ),
+}
+
+
 def find_link(graph, from_vehicle, to_vehicle):
     """The link from one vehicle to another, or None when they are not linked."""
     return next((l for l in graph.neighbors(from_vehicle) if l.to_vehicle == to_vehicle), None)

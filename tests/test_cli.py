@@ -7,7 +7,7 @@ import pytest
 
 import freqroute
 from freqroute import Scenario, cli, load_scenario, save_scenario
-from conftest import UNPARSABLE_JSON, make_vehicle
+from conftest import COST_OVERFLOW, UNPARSABLE_JSON, make_vehicle
 
 
 def write_scenario(tmp_path, scenario, name="s.json"):
@@ -209,6 +209,43 @@ def test_route_rejects_infinite_numbers(tmp_path, capsys):
     assert captured.err == (
         "error: area.width must be finite, got inf; vehicle 2: x must be finite, got inf\n"
     )
+
+
+@pytest.mark.parametrize("scenario, violation", COST_OVERFLOW.values(), ids=COST_OVERFLOW)
+@pytest.mark.parametrize("command", [
+    ["route", "--src", "1", "--dst", "3", "--metric", "bandwidth"], ["route", "--src", "1", "--dst", "3"],
+    ["validate"],
+], ids=["route-bandwidth", "route-distance", "validate"])
+def test_overflowing_cost_bound_is_invalid_input(command, scenario, violation, tmp_path, capsys):
+    # these used to print p_value=inf or total_distance=inf, or a distance
+    # match below 100%
+    path = write_scenario(tmp_path, scenario)
+    assert cli.main([*command, "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {violation}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--area", "1e308", "1e308", "--range", "1e308", "--rounds", "5"],
+     "got 30 * 1.4142135623730951e+308 / 0.1"),
+    (["validate", "--batch", "30", "--area", "1.7e308", "1.7e308", "--range", "1.7e308",
+      "--vehicles", "8", "--vehicles-max", "10"],
+     "got 8 * inf / 0.1"),
+], ids=["sweep", "validate"])
+def test_huge_generation_sizes_are_invalid_input(argv, message, tmp_path, capsys):
+    # the sweep died in summarize_sweep with an OverflowError, exit 1; the
+    # batch reported a distance match below 100%
+    csv = tmp_path / "rows.csv"
+    if argv[0] == "sweep":
+        argv = [*argv, "--csv", str(csv)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: area, bw: vehicle count * area diagonal / smallest bw must be finite, {message}\n"
+    )
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -18,7 +18,7 @@ from freqroute import (
     save_scenario,
     validate_scenario,
 )
-from conftest import UNPARSABLE_JSON, make_vehicle
+from conftest import COST_OVERFLOW, UNPARSABLE_JSON, make_vehicle
 
 
 def small_spec(**overrides):
@@ -185,6 +185,26 @@ def test_infinite_area_and_position_rejected():
     ]
 
 
+@pytest.mark.parametrize("scenario, violation", COST_OVERFLOW.values(), ids=COST_OVERFLOW)
+def test_overflowing_cost_bound_rejected_naming_fields(scenario, violation):
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(save_scenario(scenario))
+    assert exc.value.violations == [violation]
+
+
+def test_reported_area_side_gets_no_cost_bound_message():
+    # hypot(-1.7e308, 1.7e308) overflows, but the width is already reported
+    doc = finite_doc()
+    doc["area"] = {"width": -1.7e308, "height": 1.7e308}
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(json.dumps(doc))
+    assert exc.value.violations == [
+        "area.width must be > 0, got -1.7e+308",
+        "vehicle 1: position (0.0, 0.0) outside area -1.7e+308 x 1.7e+308",
+        "vehicle 2: position (10.0, 0.0) outside area -1.7e+308 x 1.7e+308",
+    ]
+
+
 # --- generate_scenario -----------------------------------------------------
 
 
@@ -260,6 +280,15 @@ def test_non_finite_genspec_rejected_naming_field(overrides, named, value):
     # the same check and wording as validate_scenario's for a loaded document
     with pytest.raises(ValueError, match=f"^{named} must be finite, got {value}$"):
         generate_scenario(small_spec(**overrides(value)))
+
+
+def test_genspec_cost_bound_uses_the_smallest_generated_bw():
+    # 5 vehicles over a 1e307-wide diagonal at bw 0.1 (generation's floor) is
+    # 5e308; the range's own min of 2.0 would have let it pass
+    with pytest.raises(ValueError, match=re.escape(
+        "area, bw: vehicle count * area diagonal / smallest bw must be finite, got 5 * 1e+307 / 0.1"
+    )):
+        generate_scenario(small_spec(area=(1e307, 1.0)))
 
 
 # --- persistence -----------------------------------------------------------
