@@ -259,7 +259,7 @@ def fleets(draw):
 @example(scenario=fleet_3000(1))
 @example(scenario=fleet_3000(2))
 @example(scenario=fleet_3000(3))
-@example(scenario=fleet_3000(4, radios=4, channels=8))  # few vehicles share a ranked plan
+@example(scenario=fleet_3000(4, radios=4, channels=8))  # most vehicles' radios differ
 def test_grid_matches_all_pairs(scenario):
     assert_matches_all_pairs(scenario)
 
