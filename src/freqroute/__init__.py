@@ -14,7 +14,7 @@ from .harness import (
     summarize_sweep,
     sweep_csv,
 )
-from .metrics import Metric, RouteStats, route_stats
+from .metrics import Metric
 from .model import (
     GenSpec,
     Radio,
@@ -29,7 +29,7 @@ from .model import (
     validate_scenario,
 )
 from .oracle import Optimum, best_routes_from
-from .router import Hop, Route, astar
+from .router import Hop, Route, RouteStats, astar, route_stats
 from .topology import Link, LinkGraph, build_link_graph
 
 __version__ = "0.1.0"

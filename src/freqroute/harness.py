@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import fmean
+from typing import NamedTuple
 
-from .metrics import Metric, RouteStats
+from .metrics import Metric
 from .model import GenSpec, Scenario, generate_scenario
 from .oracle import best_routes_from
-from .router import Route, astar
+from .router import Route, RouteStats, astar
 from .topology import LinkGraph, build_link_graph
 
 # cross-checks enumerate every simple path, so they are capped at small graphs
@@ -69,8 +70,7 @@ def csv_text(key_names: tuple[str, ...], rows) -> str:
 # --- seeded sweeps ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One metric's answer in one sweep round; `stats` is None when the round has no route."""
 
     round: int
@@ -117,7 +117,7 @@ def run_sweep(
     rows: list[SweepRow] = []
     for r in range(1, rounds + 1):
         seed = base_seed + r
-        scenario = generate_scenario(replace(template, seed=seed))
+        scenario = generate_scenario(template._replace(seed=seed))
         rows.extend(_round(r, seed, scenario, source, dest))
     return rows
 
@@ -131,7 +131,7 @@ def run_sweep_fixed(
     """One fixed scenario's query, answered once; its two rows repeat per round, seed 0."""
     _check_sweep_args(rounds, source, dest)
     rows = _round(1, 0, scenario, source, dest)
-    return [replace(row, round=r) for r in range(1, rounds + 1) for row in rows]
+    return [row._replace(round=r) for r in range(1, rounds + 1) for row in rows]
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
@@ -241,6 +241,6 @@ def cross_check_batch(template: GenSpec, count: int, max_vehicles: int) -> Cross
             f" got ({min_vehicles}, {max_vehicles})"
         )
     span = max_vehicles - min_vehicles + 1
-    specs = (replace(template, seed=base_seed + i, vehicle_count=min_vehicles + i % span)
+    specs = (template._replace(seed=base_seed + i, vehicle_count=min_vehicles + i % span)
              for i in range(count))
     return cross_check(generate_scenario(spec) for spec in specs)

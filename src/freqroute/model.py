@@ -32,9 +32,9 @@ class Radio(NamedTuple):
     Frequencies are opaque channel identifiers; two radios can talk iff their
     channels compare equal. Bandwidth is in kb/s and must be positive.
 
-    `Radio` and `Vehicle` are NamedTuples: each equals the plain tuple of its
-    fields, and iterates and orders as that tuple. Fields are stored as given,
-    so a `Vehicle` built from lists keeps those lists.
+    `Radio`, `Vehicle` and `GenSpec` are NamedTuples: each equals the plain
+    tuple of its fields, and iterates and orders as that tuple. Fields are
+    stored as given, so a `Vehicle` or `GenSpec` built from lists keeps them.
     """
 
     radio_id: int
@@ -159,8 +159,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     """Parameters for seeded random scenario generation."""
 
     seed: int
@@ -170,11 +169,6 @@ class GenSpec:
     radios_per_vehicle: int
     frequency_pool: tuple[int, ...]
     bandwidth_range: tuple[float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "area", tuple(self.area))
-        object.__setattr__(self, "frequency_pool", tuple(self.frequency_pool))
-        object.__setattr__(self, "bandwidth_range", tuple(self.bandwidth_range))
 
 
 # generated bandwidths are rounded to one decimal, and one that rounds to 0.0 is raised to this

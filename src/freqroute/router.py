@@ -6,8 +6,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from typing import NamedTuple
 
-from .metrics import Metric, RouteStats, route_stats
+from .metrics import Metric
 from .model import Scenario
 from .topology import LinkGraph
 
@@ -20,6 +21,35 @@ class Hop:
     radio_pair: tuple[int, int]  # (transmit radio on the previous vehicle, receive radio here)
     distance: float
     bandwidth: float  # receiving radio's bandwidth, kb/s
+
+
+class RouteStats(NamedTuple):
+    total_distance: float
+    avg_bandwidth: float
+    p_value: float
+    hops: int
+
+    def cost(self, metric: Metric) -> float:
+        """The route's cost under `metric`: its total distance, or its finished ratio p."""
+        return self.total_distance if metric is Metric.DISTANCE else self.p_value
+
+
+def route_stats(route: Route) -> RouteStats:
+    """Summary figures for a completed route.
+
+    total_distance sums the hop lengths, avg_bandwidth is the mean of the
+    receiving-radio bandwidths, and p_value is the finished ratio (nothing
+    left to estimate, so it is just total over bandwidth sum). Zero-hop
+    routes have no hops to average and are rejected.
+    """
+    if not route.hops:
+        raise ValueError("route_stats requires a route with at least one hop")
+    total = 0.0
+    bw = 0.0
+    for hop in route.hops:
+        total += hop.distance
+        bw += hop.bandwidth
+    return RouteStats(total, bw / len(route.hops), total / bw, len(route.hops))
 
 
 @dataclass(frozen=True)

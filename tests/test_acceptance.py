@@ -7,7 +7,6 @@ without -s pytest swallows them on success and shows them on failure.
 import csv
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -169,7 +168,7 @@ def test_criterion_4_sweep_bandwidth_ordering(tmp_path, capsys):
         for r in csv.DictReader(out.read_text().splitlines()):
             if r["metric"] != "distance" or r["found"] != "true":
                 continue
-            scenario = generate_scenario(replace(template, seed=int(r["seed"])))
+            scenario = generate_scenario(template._replace(seed=int(r["seed"])))
             graph = build_link_graph(scenario)
             src, dst = lowest_connected_pair(graph)
             optima = best_routes_from(graph, src)[dst]

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -99,7 +98,7 @@ def test_lowest_connected_pair_matches_components(scenario, data):
 def test_lowest_connected_pair_matches_components_on_sweep_rounds_and_fleet():
     # the 30 rounds of `freqroute sweep --rounds 30 --seed 100`, and a 3000-vehicle fleet
     spec = GenSpec(0, 30, (1000.0, 1000.0), 200.0, 1, (1,), (2.0, 10.0))
-    scenarios = [generate_scenario(replace(spec, seed=100 + r)) for r in range(1, 31)]
+    scenarios = [generate_scenario(spec._replace(seed=100 + r)) for r in range(1, 31)]
     for scenario in scenarios + [fleet_3000(1)]:
         g = build_link_graph(scenario)
         pair = lowest_connected_pair(g)
@@ -251,7 +250,7 @@ def test_sweep_fixed_answers_once(diamond, monkeypatch):
     assert len(calls) == 2
     assert [r.round for r in rows] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
     once = run_sweep_fixed(diamond, rounds=1, source=1, dest=4)
-    assert [replace(r, round=1) for r in rows] == once * 5
+    assert [r._replace(round=1) for r in rows] == once * 5
     assert all(r.stats is not None for r in once)
 
 
