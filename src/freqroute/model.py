@@ -117,37 +117,33 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     seen: set[int] = set()
     peak_sum = 0.0
     smallest = math.inf  # the smallest valid bw of all
-    for v in scenario.vehicles:
-        if v.vehicle_id in seen:
-            problems.append(f"duplicate vehicle_id {v.vehicle_id}")
-        seen.add(v.vehicle_id)
-        x, y = v.position
+    for vid, (x, y), radios in scenario.vehicles:
+        if vid in seen:
+            problems.append(f"duplicate vehicle_id {vid}")
+        seen.add(vid)
         unbounded = [
-            f"vehicle {v.vehicle_id}: {name} must be finite, got {value}"
+            f"vehicle {vid}: {name} must be finite, got {value}"
             for name, value in (("x", x), ("y", y))
             if not math.isfinite(value)
         ]
         problems += unbounded
         if not unbounded and not (0 <= x <= w and 0 <= y <= h):
-            problems.append(
-                f"vehicle {v.vehicle_id}: position ({x}, {y}) outside area {w} x {h}"
-            )
-        if not v.radios:
-            problems.append(f"vehicle {v.vehicle_id}: empty radio list")
+            problems.append(f"vehicle {vid}: position ({x}, {y}) outside area {w} x {h}")
+        if not radios:
+            problems.append(f"vehicle {vid}: empty radio list")
         radio_seen: set[int] = set()
         largest = 0.0  # the vehicle's largest valid bw
-        for r in v.radios:
-            if r.radio_id in radio_seen:
-                problems.append(f"vehicle {v.vehicle_id}: duplicate radio_id {r.radio_id}")
-            radio_seen.add(r.radio_id)
-            if not 0 < r.bandwidth < math.inf:  # _size_problem's test, without a name per radio
-                name = f"vehicle {v.vehicle_id} radio {r.radio_id}: bw"
-                problems.append(_size_problem(name, r.bandwidth))
+        for rid, _, bw in radios:
+            if rid in radio_seen:
+                problems.append(f"vehicle {vid}: duplicate radio_id {rid}")
+            radio_seen.add(rid)
+            if not 0 < bw < math.inf:  # _size_problem's test, without a name per radio
+                problems.append(_size_problem(f"vehicle {vid} radio {rid}: bw", bw))
             else:
-                if r.bandwidth > largest:
-                    largest = r.bandwidth
-                if r.bandwidth < smallest:
-                    smallest = r.bandwidth
+                if bw > largest:
+                    largest = bw
+                if bw < smallest:
+                    smallest = bw
         peak_sum += largest
     # a simple route receives on at most one radio per vehicle, so the sum of
     # each vehicle's largest valid bw bounds every route's bandwidth sum
