@@ -123,8 +123,8 @@ def _fmt_route(route: Route) -> str:
     return ARROW.join(str(v) for v in route.vehicle_sequence)
 
 
-# compare's table: metric, route, then the STAT_NAMES columns
-_TABLE_ROW = "{:<10} {:<28} {:<5} {:<15} {:<14} {}"
+# compare's table: metric, route (as wide as the longest shown, at least 28), then STAT_NAMES
+_TABLE_ROW = "{:<10} {:<{width}} {:<5} {:<15} {:<14} {}"
 
 
 # --- subcommands -----------------------------------------------------------
@@ -167,9 +167,11 @@ def cmd_compare(args) -> int:
         # link feasibility does not depend on the metric, so it is both or neither
         print("NO ROUTE")
         return EXIT_NO_ROUTE
-    print(_TABLE_ROW.format("metric", "route", *STAT_NAMES))
+    shown = {metric: _fmt_route(route) for metric, route in routes.items()}
+    width = max(28, *map(len, shown.values()))
+    print(_TABLE_ROW.format("metric", "route", *STAT_NAMES, width=width))
     for metric, route in routes.items():
-        print(_TABLE_ROW.format(metric.value, _fmt_route(route), *stat_fields(route.stats)))
+        print(_TABLE_ROW.format(metric.value, shown[metric], *stat_fields(route.stats), width=width))
     dist, bw = routes[Metric.DISTANCE].stats, routes[Metric.BANDWIDTH].stats
     print(f"delta: avg_bandwidth {bw.avg_bandwidth - dist.avg_bandwidth:+.4f}, "
           f"total_distance {bw.total_distance - dist.total_distance:+.4f}")

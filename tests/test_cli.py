@@ -278,6 +278,19 @@ def test_compare_table(diamond, tmp_path, capsys):
     assert lines[4] == "check: p(bandwidth) <= p(distance): ok"
 
 
+def test_compare_table_widens_route_column_for_long_routes(tmp_path, capsys):
+    # 14 vehicles 100 m apart in a line, range 150: the only route is 1→2→…→14, 32 characters
+    line = Scenario((1400.0, 10.0), 150.0,
+                    tuple(make_vehicle(i, 100.0 * (i - 1), 0, [(1, 1, 1.0)]) for i in range(1, 15)))
+    path = write_scenario(tmp_path, line)
+    assert cli.main(["compare", "--scenario", path, "--src", "1", "--dst", "14"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()[:3]
+    hops_at = header.index("hops")
+    for row in rows:
+        assert row.split()[1] == "→".join(map(str, range(1, 15)))
+        assert row[hops_at - 1] == " " and row[hops_at:].split()[0] == "13"
+
+
 def test_compare_check_line_violated(tmp_path, capsys):
     # close-once ratio search: its route can end above the shortest route's p
     path = str(tmp_path / "w.json")
