@@ -54,3 +54,32 @@ def test_oracle_is_independent_of_the_search_it_checks():
     # anything of theirs would let a fault in them hide in both answers
     tree = ast.parse((PACKAGE / "oracle.py").read_text())
     assert set(imported_package_modules(tree)) & {"router", "harness", "cli"} == set()
+
+
+def package_import_graph():
+    """Each package module's name mapped to the package modules it imports, TYPE_CHECKING ones too."""
+    names = {path.stem for path in MODULES}
+    return {
+        path.stem: set(imported_package_modules(ast.parse(path.read_text()))) & names
+        for path in MODULES
+    }
+
+
+def test_metrics_imports_nothing_from_the_package():
+    # metrics names the cost functions; every other layer reads it, so it reads none of them
+    assert package_import_graph()["metrics"] == set()
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = package_import_graph()
+    done: set[str] = set()
+
+    def visit(module, path):
+        assert module not in path, f"import cycle: {' -> '.join((*path, module))}"
+        if module not in done:
+            for imported in sorted(graph[module]):
+                visit(imported, (*path, module))
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module, ())

@@ -8,9 +8,11 @@ from hypothesis import given, strategies as st
 from freqroute import (
     GenSpec,
     Radio,
+    RouteStats,
     Scenario,
     ScenarioFormatError,
     ScenarioValidationError,
+    SweepRow,
     Vehicle,
     generate_scenario,
     load_scenario,
@@ -46,6 +48,15 @@ def test_vehicle_lookup(bridge):
 def test_radio_and_vehicle_equal_their_field_tuples():
     assert Radio(1, 2, 4.0) == (1, 2, 4.0)
     assert Vehicle(3, (5.0, 6.0), (Radio(1, 2, 4.0),)) == (3, (5.0, 6.0), ((1, 2, 4.0),))
+    # the other NamedTuple records, with their field order pinned
+    spec = GenSpec(1, 5, (100.0, 50.0), 20.0, 2, (1, 2), (2.0, 10.0))
+    assert spec == (1, 5, (100.0, 50.0), 20.0, 2, (1, 2), (2.0, 10.0))
+    assert GenSpec._fields == ("seed", "vehicle_count", "area", "comm_range",
+                               "radios_per_vehicle", "frequency_pool", "bandwidth_range")
+    assert RouteStats(300.0, 6.0, 25.0, 2) == (300.0, 6.0, 25.0, 2)
+    assert RouteStats._fields == ("total_distance", "avg_bandwidth", "p_value", "hops")
+    assert SweepRow(1, 101, "distance", None) == (1, 101, "distance", None)
+    assert SweepRow._fields == ("round", "seed", "metric", "stats")
 
 
 # --- validate_scenario -----------------------------------------------------

@@ -34,6 +34,7 @@ def test_bridge_route_under_both_metrics(bridge):
     for metric in BOTH:
         r = astar(bridge, g, 1, 2, metric)
         assert r.vehicle_sequence == (1, 3, 2)
+        assert r.hop_count == 2
         assert [h.radio_pair for h in r.hops] == [(2, 6), (5, 3)]
         assert_route_feasible(bridge, g, r)
 
@@ -64,6 +65,7 @@ def test_source_equals_dest(diamond):
     g = build_link_graph(diamond)
     r = astar(diamond, g, 3, 3, Metric.DISTANCE)
     assert r.hops == ()
+    assert r.hop_count == 0
     assert r.vehicle_sequence == (3,)
     with pytest.raises(ValueError):
         r.stats
