@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from statistics import fmean
 from typing import NamedTuple
 
@@ -22,15 +25,58 @@ MATCH_TOL = 1e-9
 def lowest_connected_pair(graph: LinkGraph) -> tuple[int, int] | None:
     """First ordered id pair (lexicographically) whose vehicles can reach each other.
 
-    Every id below the first vehicle with a link is isolated, so that vehicle
-    is the smallest id of its component and pairs with the smallest other id
-    it reaches. Ids are tried in ascending order up to that first vehicle, so
-    only their links are built; the rest is read off the neighbour ids.
+    Every id below the first vehicle with a link, `first`, is isolated, so
+    `first` is the smallest id of its component and pairs with the smallest
+    other id it reaches, which is at most its own lowest neighbour. The ids
+    between are tried in ascending order, each with _walk_to_meet. A walk
+    whose side from `first` runs dry has seen first's whole component, which
+    settles the answer; one whose candidate's side runs dry rules out every
+    id that side saw. A test costs at most about twice the smaller of the
+    two components, so only the neighbour ids those walks read are found.
     """
-    first = next((vid for vid in sorted(graph.vehicle_ids) if graph.neighbors(vid)), None)
-    if first is None:
+    near = graph.near
+    ids = sorted(graph.vehicle_ids)
+    k = next((k for k, vid in enumerate(ids) if near(vid)), None)
+    if k is None:
         return None
-    return first, min(graph.reachable(first) - {first})
+    first, lowest = ids[k], near(ids[k])[0]
+    ruled_out: set[int] = set()
+    for candidate in ids[k + 1:bisect_left(ids, lowest)]:
+        if candidate in ruled_out or not near(candidate):
+            continue
+        dry, seen = _walk_to_meet(graph, first, candidate)
+        if dry is None:
+            return first, candidate
+        if dry == first:
+            return first, min(seen - {first})
+        ruled_out |= seen
+    return first, lowest
+
+
+def _walk_to_meet(graph: LinkGraph, a: int, b: int) -> tuple[int | None, set[int]]:
+    """Grow a best-first walk from a toward b's position and one from b toward a's, a pop each in turn.
+
+    Each side pops its vehicle nearest the other end in a straight line (ties
+    to the lower id) and marks every neighbour it has not seen. Returns
+    (None, ids seen) when a side marks an id the other side has seen: a and b
+    are connected. Returns (a or b, ids that side saw) when that side runs
+    out of vehicles to pop: what it saw is its whole component.
+    """
+    near, position, hypot = graph.near, graph.position, math.hypot
+    a_seen, b_seen = {a}, {b}
+    sides = [(a, a_seen, b_seen, [(0.0, a)], *position(b)), (b, b_seen, a_seen, [(0.0, b)], *position(a))]
+    while True:
+        for end, seen, other, heap, gx, gy in sides:
+            if not heap:
+                return end, seen
+            for w in near(heappop(heap)[1]):
+                if w in seen:
+                    continue
+                if w in other:
+                    return None, seen
+                seen.add(w)
+                x, y = position(w)
+                heappush(heap, (hypot(x - gx, y - gy), w))
 
 
 # --- metric comparison -----------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable
 from typing import NamedTuple
@@ -31,12 +31,14 @@ class Link(NamedTuple):
 class LinkGraph:
     """Adjacency over vehicles that are within range and share a frequency.
 
-    Made from each vehicle's neighbour ids, ascending, and a function that
-    builds one vehicle's links from its id. `neighbors` calls that function
-    the first time it is asked for a vehicle and keeps the tuple; `in`,
-    `vehicle_ids`, `link_count` and `reachable` read the neighbour ids alone
-    and build no link. Two threads asking for the same vehicle at once may
-    both build its links, and both get equal tuples.
+    Made from each vehicle's position keyed by id, in `vehicle_ids` order, a
+    memoising function that finds one vehicle's neighbour ids, and a
+    function that builds one vehicle's links. `neighbors` builds a vehicle's
+    links on its first call and keeps them. `in`, `vehicle_ids` and
+    `position` find no neighbour ids; `link_count` finds every vehicle's,
+    and `reachable` those of every vehicle it reaches. Two threads asking
+    for one vehicle at once may both find its ids or build its links, and
+    both get equal lists or tuples.
 
     Neighbor lists are sorted by vehicle id so traversals are reproducible.
     The graph is symmetric: a links to b iff b links to a, with the same
@@ -45,17 +47,30 @@ class LinkGraph:
     off the link instead of choosing again.
     """
 
-    def __init__(self, near: dict[int, list[int]], build_links: Callable[[int], tuple[Link, ...]]):
-        self._near = near  # vehicle id -> ids it links to, ascending
+    def __init__(
+        self,
+        positions: dict[int, tuple[float, float]],
+        find_near: Callable[[int], list[int]],
+        build_links: Callable[[int], tuple[Link, ...]],
+    ):
+        self._positions = positions  # vehicle id -> (x, y)
+        self._find_near = find_near
         self._build_links = build_links
         self._links: dict[int, tuple[Link, ...]] = {}
 
     def __contains__(self, vehicle_id: int) -> bool:
-        return vehicle_id in self._near
+        return vehicle_id in self._positions
 
     @property
     def vehicle_ids(self) -> tuple[int, ...]:
-        return tuple(self._near)
+        return tuple(self._positions)
+
+    def position(self, vehicle_id: int) -> tuple[float, float]:
+        return self._positions[vehicle_id]
+
+    def near(self, vehicle_id: int) -> list[int]:
+        """The ids `vehicle_id` links to, ascending; found on first request, kept, not to be changed."""
+        return self._find_near(vehicle_id)
 
     def neighbors(self, vehicle_id: int) -> tuple[Link, ...]:
         try:
@@ -66,16 +81,17 @@ class LinkGraph:
         return links
 
     def link_count(self) -> int:
-        """Number of undirected links."""
-        return sum(map(len, self._near.values())) // 2
+        """Number of undirected links. Finds every vehicle's neighbour ids, as a full read would."""
+        find_near = self._find_near
+        return sum(len(find_near(vid)) for vid in self._positions) // 2
 
     def reachable(self, vehicle_id: int) -> set[int]:
-        """Every vehicle connected to `vehicle_id`, itself included."""
-        near = self._near
+        """Every vehicle connected to `vehicle_id`, itself included. Finds the neighbour ids of each."""
+        find_near = self._find_near
         seen = {vehicle_id}
         queue = deque([vehicle_id])
         while queue:
-            for w in near[queue.popleft()]:
+            for w in find_near(queue.popleft()):
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -124,22 +140,21 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
     Candidates come from a uniform grid (fixed-radius near-neighbour
     bucketing, Bentley, Stanat & Williams 1977): every pair within range lies
     in the same or adjacent cells, so only the 3x3 block around a vehicle is
-    tested. Pairs are visited in the order of an all-pairs scan by id, so
-    neighbour lists come out sorted by id. The pass records neighbour ids
-    only; a shared channel is one AND of the two vehicles' channel bitmasks.
+    tested. Up front this reads each vehicle once into per-index lists of ids,
+    coordinates and channel bitmasks, and drops it into its cell; a shared
+    channel is one AND of two bitmasks.
 
-    A vehicle's `Link` tuple is built on its first `neighbors` call, which
-    chooses each direction's radio pair from the two vehicles' radios (see
-    Link and _link_builder) and computes the distance again, to the same
-    float.
+    A vehicle's neighbour ids are found the first time anything asks for
+    them (see _near_finder), and its `Link` tuple is built on its first
+    `neighbors` call, which chooses each direction's radio pair from the two
+    vehicles' radios (see Link and _link_builder) and computes the distance
+    again, to the same float.
     """
     order = sorted(scenario.vehicles, key=lambda v: v.vehicle_id)
-    # each vehicle is read once, into lists the candidate loop indexes
+    # each vehicle is read once, into lists indexed like `order`
     ids = [v.vehicle_id for v in order]
     xs = [v.position[0] for v in order]
     ys = [v.position[1] for v in order]
-    near: dict[int, list[int]] = {vid: [] for vid in ids}
-    lists = [near[vid] for vid in ids]  # index -> that vehicle's neighbour ids
     bits: dict = {}  # channel -> its bit, numbered by first appearance
     # a NaN channel equals no channel, itself included, so it gets no bit
     masks = [
@@ -151,30 +166,58 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
     cells: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(keys):
         cells.setdefault(key, []).append(i)
+    find_near = _near_finder(ids, xs, ys, masks, keys, cells, scenario.comm_range)
+    positions = {v.vehicle_id: v.position for v in order}
+    return LinkGraph(positions, find_near, _link_builder(find_near, order, ids, xs, ys))
+
+
+def _near_finder(ids, xs, ys, masks, keys, cells, reach) -> Callable[[int], list[int]]:
+    """The memoising function that finds one vehicle's neighbour ids, from build_link_graph's lists.
+
+    A vehicle's ids are the members of its cell's 3x3 block, in ascending
+    index order and so ascending by id, that share a channel with it and lie
+    within `reach`: the list an all-pairs scan by id would give. Each block
+    is gathered and sorted once, on first use. The function holds no
+    reference to the graph, so a graph is freed as soon as it is dropped.
+    """
+    known: dict[int, list[int]] = {}  # vehicle id -> its neighbour ids
     blocks: dict[tuple[int, int], list[int]] = {}  # cell -> sorted members of its 3x3 block
-    reach, hypot = scenario.comm_range, math.hypot
-    for i, key in enumerate(keys):
+    hypot = math.hypot
+
+    def find_near(a_id: int) -> list[int]:
+        try:
+            return known[a_id]
+        except KeyError:
+            pass
+        i = bisect_left(ids, a_id)  # ids ascend, so bisection finds each index
+        if ids[i:i + 1] != [a_id]:
+            raise KeyError(a_id)
+        key = keys[i]
         block = blocks.get(key)
         if block is None:
             cx, cy = key
             block = blocks[key] = sorted(
                 j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for j in cells.get((cx + dx, cy + dy), ())
             )
-        a_id, ax, ay, a_mask, a_near = ids[i], xs[i], ys[i], masks[i], lists[i]
-        for j in block[bisect_right(block, i):]:
-            if a_mask & masks[j] and hypot(ax - xs[j], ay - ys[j]) <= reach:
-                a_near.append(ids[j])
-                lists[j].append(a_id)
-    return LinkGraph(near, _link_builder(near, order, ids, xs, ys))
+        # hypot(-dx, -dy) equals hypot(dx, dy), so a and b find each other alike
+        ax, ay, a_mask = xs[i], ys[i], masks[i]
+        a_near = known[a_id] = [
+            ids[j] for j in block
+            if a_mask & masks[j] and hypot(ax - xs[j], ay - ys[j]) <= reach and j != i
+        ]
+        return a_near
+
+    return find_near
 
 
-def _link_builder(near, order, ids, xs, ys) -> Callable[[int], tuple[Link, ...]]:
+def _link_builder(find_near, order, ids, xs, ys) -> Callable[[int], tuple[Link, ...]]:
     """The function that builds one vehicle's links, from build_link_graph's per-index lists.
 
-    It keeps only what it is given, so the grid dies with build_link_graph.
-    The hop from a into b takes b's first radio in _ranked_radios order whose
-    channel a also has, and a's lowest radio id on that channel. A vehicle's
-    radios are ranked the first time it is a receiver, and only then. Links
+    It reads neighbour ids through the graph's own `find_near`, so each
+    vehicle's ids are found once. The hop from a into b takes b's first
+    radio in _ranked_radios order whose channel a also has, and a's lowest
+    radio id on that channel. A vehicle's radios are ranked the first time
+    it is a receiver, and only then. Links
     with equal radio pairs share one pair tuple, so a 3000-vehicle fleet's
     ~37,000 links do not each hold their own (about 2 MB).
     """
@@ -183,8 +226,8 @@ def _link_builder(near, order, ids, xs, ys) -> Callable[[int], tuple[Link, ...]]
     hypot, new = math.hypot, tuple.__new__
 
     def build_links(a_id: int) -> tuple[Link, ...]:
-        b_ids = near[a_id]  # an unknown id raises KeyError here
-        i = bisect_left(ids, a_id)  # ids ascend, so bisection finds each index
+        b_ids = find_near(a_id)  # an unknown id raises KeyError here
+        i = bisect_left(ids, a_id)
         ax, ay = xs[i], ys[i]
         # channel -> a's lowest radio id on it: later entries overwrite earlier
         # ones, so the ids go in descending; a NaN channel equals no channel,

@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -205,14 +207,17 @@ def all_pairs_link_graph(scenario):
                 unchosen = Link(u.vehicle_id, v.vehicle_id, d, None, None)
                 pair, bw = select_radio_pair(scenario, unchosen)
                 adjacency[u.vehicle_id].append(unchosen._replace(radio_pair=pair, bandwidth=bw))
+    positions = {v.vehicle_id: v.position for v in order}
     near = {vid: [l.to_vehicle for l in links] for vid, links in adjacency.items()}
-    return LinkGraph(near, lambda vid: tuple(adjacency[vid]))
+    return LinkGraph(positions, near.__getitem__, lambda vid: tuple(adjacency[vid]))
 
 
 def assert_matches_all_pairs(scenario):
     g, ref = build_link_graph(scenario), all_pairs_link_graph(scenario)
     assert g.vehicle_ids == ref.vehicle_ids
     for vid in ref.vehicle_ids:
+        assert g.position(vid) == ref.position(vid)
+        assert g.near(vid) == ref.near(vid)
         assert g.neighbors(vid) == ref.neighbors(vid)
 
 
@@ -349,6 +354,22 @@ def test_links_built_on_first_use_match_all_pairs(scenario):
     assert g.vehicle_ids == ref.vehicle_ids
     for vid in random.Random(len(ids)).sample(ids, len(ids)):
         assert g.neighbors(vid) == ref.neighbors(vid)
+
+
+def test_a_graph_is_freed_without_the_cyclic_collector():
+    # nothing a graph holds may point back at it: a cycle would leave every
+    # sweep round's graph for the cyclic collector and raise peak memory
+    gc.disable()
+    try:
+        g = build_link_graph(fleet_at_sweep_density(1, 300))
+        pair = lowest_connected_pair(g)
+        for vid in pair:
+            assert g.neighbors(vid) and g.near(vid)
+        graph = weakref.ref(g)
+        del g
+        assert graph() is None
+    finally:
+        gc.enable()
 
 
 def test_concurrent_readers_get_the_all_pairs_links():
