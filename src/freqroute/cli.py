@@ -123,8 +123,9 @@ def _fmt_route(route: Route) -> str:
     return ARROW.join(str(v) for v in route.vehicle_sequence)
 
 
-# compare's table: metric, route (as wide as the longest shown, at least 28), then STAT_NAMES
-_TABLE_ROW = "{:<10} {:<{width}} {:<5} {:<15} {:<14} {}"
+# compare's table: metric, route, then STAT_NAMES; each column but the last is
+# as wide as its longest cell and at least as wide as given here
+_TABLE_WIDTHS = (10, 28, 5, 15, 14)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -167,11 +168,11 @@ def cmd_compare(args) -> int:
         # link feasibility does not depend on the metric, so it is both or neither
         print("NO ROUTE")
         return EXIT_NO_ROUTE
-    shown = {metric: _fmt_route(route) for metric, route in routes.items()}
-    width = max(28, *map(len, shown.values()))
-    print(_TABLE_ROW.format("metric", "route", *STAT_NAMES, width=width))
-    for metric, route in routes.items():
-        print(_TABLE_ROW.format(metric.value, shown[metric], *stat_fields(route.stats), width=width))
+    table = [("metric", "route", *STAT_NAMES)]
+    table += [(metric.value, _fmt_route(route), *stat_fields(route.stats)) for metric, route in routes.items()]
+    widths = [max(width, *(len(row[k]) for row in table)) for k, width in enumerate(_TABLE_WIDTHS)]
+    for row in table:
+        print(*(cell.ljust(width) for cell, width in zip(row, widths)), row[-1])
     dist, bw = routes[Metric.DISTANCE].stats, routes[Metric.BANDWIDTH].stats
     print(f"delta: avg_bandwidth {bw.avg_bandwidth - dist.avg_bandwidth:+.4f}, "
           f"total_distance {bw.total_distance - dist.total_distance:+.4f}")

@@ -291,6 +291,19 @@ def test_compare_table_widens_route_column_for_long_routes(tmp_path, capsys):
         assert row[hops_at - 1] == " " and row[hops_at:].split()[0] == "13"
 
 
+def test_compare_table_widens_numeric_columns_for_large_figures(tmp_path, capsys):
+    # two vehicles 1e15 m apart at 1e12 kb/s: every figure is wider than its column's default
+    far = Scenario((2e15, 10.0), 1e15, (make_vehicle(1, 0, 0, [(1, 1, 1e12)]),
+                                         make_vehicle(2, 1e15, 0, [(1, 1, 1e12)])))
+    path = write_scenario(tmp_path, far)
+    assert cli.main(["compare", "--scenario", path, "--src", "1", "--dst", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()[:3]
+    p_at = header.index("p_value")
+    for row in rows:
+        assert row.split()[2:] == ["1", "1000000000000000.0000", "1000000000000.0000", "1000.0000"]
+        assert row[p_at - 1] == " " and row[p_at:] == "1000.0000"
+
+
 def test_compare_check_line_violated(tmp_path, capsys):
     # close-once ratio search: its route can end above the shortest route's p
     path = str(tmp_path / "w.json")
