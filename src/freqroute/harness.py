@@ -7,7 +7,6 @@ from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from statistics import fmean
 from typing import NamedTuple
 
 from .metrics import Metric
@@ -32,17 +31,18 @@ def lowest_connected_pair(graph: LinkGraph) -> tuple[int, int] | None:
     whose side from `first` runs dry has seen first's whole component, which
     settles the answer; one whose candidate's side runs dry rules out every
     id that side saw. A test costs at most about twice the smaller of the
-    two components, so only the neighbour ids those walks read are found.
+    two components, so only the links of the vehicles those walks pop, and
+    of the candidates tried, are built.
     """
-    near = graph.near
+    neighbors = graph.neighbors
     ids = sorted(graph.vehicle_ids)
-    k = next((k for k, vid in enumerate(ids) if near(vid)), None)
+    k = next((k for k, vid in enumerate(ids) if neighbors(vid)), None)
     if k is None:
         return None
-    first, lowest = ids[k], near(ids[k])[0]
+    first, lowest = ids[k], neighbors(ids[k])[0].to_vehicle
     ruled_out: set[int] = set()
     for candidate in ids[k + 1:bisect_left(ids, lowest)]:
-        if candidate in ruled_out or not near(candidate):
+        if candidate in ruled_out or not neighbors(candidate):
             continue
         dry, seen = _walk_to_meet(graph, first, candidate)
         if dry is None:
@@ -62,14 +62,15 @@ def _walk_to_meet(graph: LinkGraph, a: int, b: int) -> tuple[int | None, set[int
     are connected. Returns (a or b, ids that side saw) when that side runs
     out of vehicles to pop: what it saw is its whole component.
     """
-    near, position, hypot = graph.near, graph.position, math.hypot
+    neighbors, position, hypot = graph.neighbors, graph.position, math.hypot
     a_seen, b_seen = {a}, {b}
     sides = [(a, a_seen, b_seen, [(0.0, a)], *position(b)), (b, b_seen, a_seen, [(0.0, b)], *position(a))]
     while True:
         for end, seen, other, heap, gx, gy in sides:
             if not heap:
                 return end, seen
-            for w in near(heappop(heap)[1]):
+            for link in neighbors(heappop(heap)[1]):
+                w = link.to_vehicle
                 if w in seen:
                     continue
                 if w in other:
@@ -198,7 +199,7 @@ def summarize_sweep(rows: list[SweepRow]) -> dict[str, dict[str, float]]:
         summary: dict[str, float] = {"rounds_with_route": len(found)}
         if found:
             for name in STAT_NAMES[1:]:
-                summary[f"mean_{name}"] = fmean(getattr(s, name) for s in found)
+                summary[f"mean_{name}"] = math.fsum(getattr(s, name) for s in found) / len(found)
         out[metric.value] = summary
     return out
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -31,14 +30,12 @@ class Link(NamedTuple):
 class LinkGraph:
     """Adjacency over vehicles that are within range and share a frequency.
 
-    Made from each vehicle's position keyed by id, in `vehicle_ids` order, a
-    memoising function that finds one vehicle's neighbour ids, and a
-    function that builds one vehicle's links. `neighbors` builds a vehicle's
-    links on its first call and keeps them. `in`, `vehicle_ids` and
-    `position` find no neighbour ids; `link_count` finds every vehicle's,
-    and `reachable` those of every vehicle it reaches. Two threads asking
-    for one vehicle at once may both find its ids or build its links, and
-    both get equal lists or tuples.
+    Made from each vehicle's position keyed by id, in `vehicle_ids` order,
+    and a function that builds one vehicle's links. `neighbors` builds a
+    vehicle's links on its first call and keeps them. `in`, `vehicle_ids`
+    and `position` build none; `link_count` builds every vehicle's. Two
+    threads asking for one vehicle at once may both build its links, and
+    both get equal tuples.
 
     Neighbor lists are sorted by vehicle id so traversals are reproducible.
     The graph is symmetric: a links to b iff b links to a, with the same
@@ -50,11 +47,9 @@ class LinkGraph:
     def __init__(
         self,
         positions: dict[int, tuple[float, float]],
-        find_near: Callable[[int], list[int]],
         build_links: Callable[[int], tuple[Link, ...]],
     ):
         self._positions = positions  # vehicle id -> (x, y)
-        self._find_near = find_near
         self._build_links = build_links
         self._links: dict[int, tuple[Link, ...]] = {}
 
@@ -68,10 +63,6 @@ class LinkGraph:
     def position(self, vehicle_id: int) -> tuple[float, float]:
         return self._positions[vehicle_id]
 
-    def near(self, vehicle_id: int) -> list[int]:
-        """The ids `vehicle_id` links to, ascending; found on first request, kept, not to be changed."""
-        return self._find_near(vehicle_id)
-
     def neighbors(self, vehicle_id: int) -> tuple[Link, ...]:
         try:
             return self._links[vehicle_id]
@@ -81,21 +72,9 @@ class LinkGraph:
         return links
 
     def link_count(self) -> int:
-        """Number of undirected links. Finds every vehicle's neighbour ids, as a full read would."""
-        find_near = self._find_near
-        return sum(len(find_near(vid)) for vid in self._positions) // 2
-
-    def reachable(self, vehicle_id: int) -> set[int]:
-        """Every vehicle connected to `vehicle_id`, itself included. Finds the neighbour ids of each."""
-        find_near = self._find_near
-        seen = {vehicle_id}
-        queue = deque([vehicle_id])
-        while queue:
-            for w in find_near(queue.popleft()):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+        """Number of undirected links. Builds every vehicle's links, as a full read would."""
+        neighbors = self.neighbors
+        return sum(len(neighbors(vid)) for vid in self._positions) // 2
 
 
 # A cell a hair wider than the range: a pair that passes the rounded
@@ -144,11 +123,9 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
     coordinates and channel bitmasks, and drops it into its cell; a shared
     channel is one AND of two bitmasks.
 
-    A vehicle's neighbour ids are found the first time anything asks for
-    them (see _near_finder), and its `Link` tuple is built on its first
-    `neighbors` call, which chooses each direction's radio pair from the two
-    vehicles' radios (see Link and _link_builder) and computes the distance
-    again, to the same float.
+    A vehicle's `Link` tuple is built on its first `neighbors` call, which
+    tests its block and chooses each direction's radio pair from the two
+    vehicles' radios (see Link and _link_builder).
     """
     order = sorted(scenario.vehicles, key=lambda v: v.vehicle_id)
     # each vehicle is read once, into lists indexed like `order`
@@ -166,29 +143,31 @@ def build_link_graph(scenario: Scenario) -> LinkGraph:
     cells: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(keys):
         cells.setdefault(key, []).append(i)
-    find_near = _near_finder(ids, xs, ys, masks, keys, cells, scenario.comm_range)
     positions = {v.vehicle_id: v.position for v in order}
-    return LinkGraph(positions, find_near, _link_builder(find_near, order, ids, xs, ys))
+    return LinkGraph(positions, _link_builder(order, ids, xs, ys, masks, keys, cells, scenario.comm_range))
 
 
-def _near_finder(ids, xs, ys, masks, keys, cells, reach) -> Callable[[int], list[int]]:
-    """The memoising function that finds one vehicle's neighbour ids, from build_link_graph's lists.
+def _link_builder(order, ids, xs, ys, masks, keys, cells, reach) -> Callable[[int], tuple[Link, ...]]:
+    """The function that builds one vehicle's links, from build_link_graph's per-index lists.
 
-    A vehicle's ids are the members of its cell's 3x3 block, in ascending
-    index order and so ascending by id, that share a channel with it and lie
-    within `reach`: the list an all-pairs scan by id would give. Each block
-    is gathered and sorted once, on first use. The function holds no
-    reference to the graph, so a graph is freed as soon as it is dropped.
+    A vehicle's links go to the members of its cell's 3x3 block, in
+    ascending index order and so ascending by id, that share a channel with
+    it and lie within `reach`: the list an all-pairs scan by id would give.
+    Each block is gathered and sorted once, on first use. The hop from a
+    into b takes b's first radio in _ranked_radios order whose channel a
+    also has, and a's lowest radio id on that channel. A vehicle's radios
+    are ranked the first time it is a receiver, and only then. Links with
+    equal radio pairs share one pair tuple, so a 3000-vehicle fleet's
+    ~37,000 links do not each hold their own (about 2 MB). The function
+    holds no reference to the graph, so a graph is freed as soon as it is
+    dropped.
     """
-    known: dict[int, list[int]] = {}  # vehicle id -> its neighbour ids
     blocks: dict[tuple[int, int], list[int]] = {}  # cell -> sorted members of its 3x3 block
-    hypot = math.hypot
+    ranked: list[tuple[Radio, ...] | None] = [None] * len(order)  # index -> ranked radios
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # radio pair -> its shared tuple
+    hypot, new = math.hypot, tuple.__new__
 
-    def find_near(a_id: int) -> list[int]:
-        try:
-            return known[a_id]
-        except KeyError:
-            pass
+    def build_links(a_id: int) -> tuple[Link, ...]:
         i = bisect_left(ids, a_id)  # ids ascend, so bisection finds each index
         if ids[i:i + 1] != [a_id]:
             raise KeyError(a_id)
@@ -199,36 +178,7 @@ def _near_finder(ids, xs, ys, masks, keys, cells, reach) -> Callable[[int], list
             block = blocks[key] = sorted(
                 j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for j in cells.get((cx + dx, cy + dy), ())
             )
-        # hypot(-dx, -dy) equals hypot(dx, dy), so a and b find each other alike
         ax, ay, a_mask = xs[i], ys[i], masks[i]
-        a_near = known[a_id] = [
-            ids[j] for j in block
-            if a_mask & masks[j] and hypot(ax - xs[j], ay - ys[j]) <= reach and j != i
-        ]
-        return a_near
-
-    return find_near
-
-
-def _link_builder(find_near, order, ids, xs, ys) -> Callable[[int], tuple[Link, ...]]:
-    """The function that builds one vehicle's links, from build_link_graph's per-index lists.
-
-    It reads neighbour ids through the graph's own `find_near`, so each
-    vehicle's ids are found once. The hop from a into b takes b's first
-    radio in _ranked_radios order whose channel a also has, and a's lowest
-    radio id on that channel. A vehicle's radios are ranked the first time
-    it is a receiver, and only then. Links
-    with equal radio pairs share one pair tuple, so a 3000-vehicle fleet's
-    ~37,000 links do not each hold their own (about 2 MB).
-    """
-    ranked: list[tuple[Radio, ...] | None] = [None] * len(order)  # index -> ranked radios
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # radio pair -> its shared tuple
-    hypot, new = math.hypot, tuple.__new__
-
-    def build_links(a_id: int) -> tuple[Link, ...]:
-        b_ids = find_near(a_id)  # an unknown id raises KeyError here
-        i = bisect_left(ids, a_id)
-        ax, ay = xs[i], ys[i]
         # channel -> a's lowest radio id on it: later entries overwrite earlier
         # ones, so the ids go in descending; a NaN channel equals no channel,
         # but a dict would find the very same NaN object, so it is left out
@@ -238,8 +188,14 @@ def _link_builder(find_near, order, ids, xs, ys) -> Callable[[int], tuple[Link, 
             if r.frequency == r.frequency
         }
         links = []
-        for b_id in b_ids:
-            j = bisect_left(ids, b_id)
+        for j in block:
+            if not a_mask & masks[j] or j == i:
+                continue
+            # hypot(-dx, -dy) equals hypot(dx, dy), so both directions carry
+            # the same distance; a NaN distance is not in range
+            d = hypot(ax - xs[j], ay - ys[j])
+            if not d <= reach:
+                continue
             receivers = ranked[j]
             if receivers is None:
                 receivers = ranked[j] = _ranked_radios(order[j])
@@ -247,11 +203,9 @@ def _link_builder(find_near, order, ids, xs, ys) -> Callable[[int], tuple[Link, 
                 if rx.frequency in senders:
                     break
             # new(Link, fields) is Link(*fields) without the Python-level
-            # __new__ that NamedTuple generates; hypot(-dx, -dy) equals
-            # hypot(dx, dy), so both directions carry the same distance
-            d = hypot(ax - xs[j], ay - ys[j])
+            # __new__ that NamedTuple generates
             pair = (senders[rx.frequency], rx.radio_id)
-            links.append(new(Link, (a_id, b_id, d, pairs.setdefault(pair, pair), rx.bandwidth)))
+            links.append(new(Link, (a_id, ids[j], d, pairs.setdefault(pair, pair), rx.bandwidth)))
         return tuple(links)
 
     return build_links

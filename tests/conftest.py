@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from freqroute import GenSpec, Hop, Radio, Route, Scenario, Vehicle, generate_scenario
+from output_digest import reachable
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -157,7 +158,7 @@ def components(graph):
     out, done = [], set()
     for vid in sorted(graph.vehicle_ids):
         if vid not in done:
-            comp = graph.reachable(vid)
+            comp = reachable(graph, vid)
             done |= comp
             out.append(comp)
     return out

@@ -3,9 +3,10 @@
     python tests/output_digest.py
 
 prints the digest that `test_output_digest.py` pins. The text covers every
-link of a few fleets (floats as `float.hex`, read in shuffled order after
-`lowest_connected_pair` and `reachable` have run), `astar` answers under both
-metrics, `best_routes_from` optima over a slice of the
+link of a few fleets (floats as `float.hex`, built in shuffled order after
+`lowest_connected_pair` has run), the component of each fleet's lowest
+connected pair, `astar` answers under both metrics, `best_routes_from`
+optima over a slice of the
 `validate --batch 200 --vehicles 8 --vehicles-max 10 --seed 3000` scenarios,
 and one `sweep` CSV. A change that alters any of them on purpose re-pins the
 digest and says why in CHANGES.md. Stdlib only, so any Python the package
@@ -18,6 +19,7 @@ import hashlib
 import math
 import random
 import sys
+from collections import deque
 from pathlib import Path
 
 if __name__ == "__main__":  # run as a script: import the package from the checkout
@@ -92,6 +94,22 @@ def _fleets():
     yield from _degenerate_fleets()
 
 
+def reachable(graph, vehicle_id):
+    """Every vehicle connected to `vehicle_id`, itself included, found breadth-first.
+
+    The test suite's components helper reads it from here, so this script
+    stays stdlib-only.
+    """
+    seen = {vehicle_id}
+    queue = deque([vehicle_id])
+    while queue:
+        for link in graph.neighbors(queue.popleft()):
+            if link.to_vehicle not in seen:
+                seen.add(link.to_vehicle)
+                queue.append(link.to_vehicle)
+    return seen
+
+
 def _route_text(route):
     if route is None:
         return "none"
@@ -105,13 +123,16 @@ def _fleet_lines(scenario, rng):
     graph = build_link_graph(scenario)
     ids = sorted(graph.vehicle_ids)
     pair = lowest_connected_pair(graph)
+    # the links are built here, before link_count and reachable read them all
+    link_lines = [
+        f"{l.from_vehicle} {l.to_vehicle} {l.distance.hex()} {l.radio_pair[0]} {l.radio_pair[1]} {l.bandwidth.hex()}"
+        for vid in rng.sample(ids, len(ids)) for l in graph.neighbors(vid)
+    ]
     yield f"fleet {len(ids)} links {graph.link_count()} pair {pair}"
     if pair is not None:
-        yield f"reachable {sorted(graph.reachable(pair[0]))[:5]} of {len(graph.reachable(pair[0]))}"
-    for vid in rng.sample(ids, len(ids)):
-        for l in graph.neighbors(vid):
-            tx, rx = l.radio_pair
-            yield f"{l.from_vehicle} {l.to_vehicle} {l.distance.hex()} {tx} {rx} {l.bandwidth.hex()}"
+        component = reachable(graph, pair[0])
+        yield f"reachable {sorted(component)[:5]} of {len(component)}"
+    yield from link_lines
     if len(ids) > 1:
         for _ in range(QUERIES_PER_FLEET):
             source, dest = rng.sample(ids, 2)

@@ -91,7 +91,7 @@ def test_lowest_connected_pair_matches_components(scenario, data):
     assert lowest_connected_pair(g) == components_lowest_pair(g)
     # the same links with the graph's vehicles listed out of id order
     order = data.draw(st.permutations(g.vehicle_ids))
-    shuffled = LinkGraph({vid: g.position(vid) for vid in order}, g.near, g.neighbors)
+    shuffled = LinkGraph({vid: g.position(vid) for vid in order}, g.neighbors)
     assert shuffled.vehicle_ids == tuple(order)
     assert lowest_connected_pair(shuffled) == components_lowest_pair(g)
 
@@ -106,17 +106,10 @@ def test_lowest_connected_pair_matches_components_on_sweep_rounds_and_fleet():
         assert pair is not None and pair == components_lowest_pair(g)
 
 
-def test_a_sweep_query_builds_few_vehicles_links(monkeypatch):
-    # links are built per vehicle on first use: the pair and the two searches
-    # of a 3000-vehicle round must not build them all, nor rank every
-    # vehicle's radios
-    built, ranked = [], []
+def count_link_builds(monkeypatch):
+    """Every id whose links a graph built after this call builds, in order."""
+    built = []
     make_builder = topology._link_builder
-    rank = topology._ranked_radios
-
-    def counting_rank(vehicle):
-        ranked.append(vehicle.vehicle_id)
-        return rank(vehicle)
 
     def counting_builder(*args):
         build_links = make_builder(*args)
@@ -127,6 +120,20 @@ def test_a_sweep_query_builds_few_vehicles_links(monkeypatch):
         return counted
 
     monkeypatch.setattr(topology, "_link_builder", counting_builder)
+    return built
+
+
+def test_a_sweep_query_builds_few_vehicles_links(monkeypatch):
+    # links are built per vehicle on first use: the pair and the two searches
+    # of a 3000-vehicle round must not build them all, nor rank every
+    # vehicle's radios
+    built, ranked = count_link_builds(monkeypatch), []
+    rank = topology._ranked_radios
+
+    def counting_rank(vehicle):
+        ranked.append(vehicle.vehicle_id)
+        return rank(vehicle)
+
     monkeypatch.setattr(topology, "_ranked_radios", counting_rank)
     scenario = fleet_3000(1)
     g = build_link_graph(scenario)
@@ -140,37 +147,6 @@ def test_a_sweep_query_builds_few_vehicles_links(monkeypatch):
     assert set(ranked) == {link.to_vehicle for vid in built for link in g.neighbors(vid)}
 
 
-def count_near_requests(monkeypatch):
-    """Every id whose neighbour ids a graph built after this call is asked for, in order."""
-    asked = []
-    make_finder = topology._near_finder
-
-    def counting_finder(*args):
-        find_near = make_finder(*args)
-
-        def counted(vid):
-            asked.append(vid)
-            return find_near(vid)
-        return counted
-
-    monkeypatch.setattr(topology, "_near_finder", counting_finder)
-    return asked
-
-
-def test_a_sweep_query_finds_few_neighbour_lists(monkeypatch):
-    # neighbour ids are found on first request and kept: building a
-    # 3000-vehicle round's graph finds none, its pair and searches few
-    asked = count_near_requests(monkeypatch)
-    scenario = fleet_3000(1)
-    g = build_link_graph(scenario)
-    assert asked == []
-    pair = lowest_connected_pair(g)
-    assert None not in compare_routes(scenario, g, *pair).values()
-    found = set(asked)
-    assert 0 < len(found) < 0.1 * len(scenario.vehicles)
-    assert all(g.near(vid) is g.near(vid) for vid in found)  # each found once
-
-
 def lattice(ids, spacing=100.0, columns=20):
     """One-channel vehicles on a square lattice, row by row from the origin; range 150 links lattice neighbours."""
     return [make_vehicle(vid, spacing * (k % columns), spacing * (k // columns), [(1, 1, 5.0)])
@@ -180,24 +156,24 @@ def lattice(ids, spacing=100.0, columns=20):
 def test_pair_in_a_small_component_reads_few_neighbour_lists(monkeypatch):
     # 1-5-4 is a chain far from a 400-vehicle lattice that holds 2 and 3;
     # a walk from 2 alone would read the whole lattice
-    asked = count_near_requests(monkeypatch)
+    built = count_link_builds(monkeypatch)
     chain = [make_vehicle(1, 5000, 5000, [(1, 1, 5.0)]), make_vehicle(5, 5100, 5000, [(1, 1, 5.0)]),
              make_vehicle(4, 5200, 5000, [(1, 1, 5.0)])]
     s = Scenario((6000.0, 6000.0), 150.0, (*chain, *lattice([2, 3, *range(6, 404)])))
     g = build_link_graph(s)
     assert lowest_connected_pair(g) == (1, 4)
-    assert len(set(asked)) <= 24
+    assert len(set(built)) <= 24
     assert components_lowest_pair(g) == (1, 4)
 
 
 def test_pair_skips_an_isolated_first_candidate(monkeypatch):
     # 2 is isolated; 1 and 3 sit at opposite corners of a 400-vehicle lattice
-    asked = count_near_requests(monkeypatch)
+    built = count_link_builds(monkeypatch)
     ids = [1, *range(4, 402), 3]
     s = Scenario((6000.0, 6000.0), 150.0, (make_vehicle(2, 5000, 5000, [(1, 1, 5.0)]), *lattice(ids)))
     g = build_link_graph(s)
     assert lowest_connected_pair(g) == (1, 3)
-    assert len(set(asked)) <= 32
+    assert len(set(built)) <= 32
     assert components_lowest_pair(g) == (1, 3)
 
 

@@ -30,6 +30,12 @@ def test_imports_are_stdlib_only(path):
     assert outside == []
 
 
+def test_no_module_imports_statistics():
+    # importing statistics costs every CLI start-up about 2 ms; a mean is math.fsum(xs) / len(xs)
+    users = [path.name for path in MODULES if "statistics" in imported_top_levels(ast.parse(path.read_text()))]
+    assert users == []
+
+
 def imported_package_modules(tree):
     """Names of freqroute modules a parsed module imports, relatively or by the package name."""
     for node in ast.walk(tree):

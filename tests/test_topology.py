@@ -25,6 +25,7 @@ from conftest import (
     fleet_3000,
     fleet_at_sweep_density,
     make_vehicle,
+    reachable,
     select_radio_pair,
     shared_frequency_pairs,
 )
@@ -140,11 +141,11 @@ def test_every_neighbor_is_a_link(diamond, bridge):
 
 def test_reachability(bridge):
     g = build_link_graph(bridge)
-    assert g.reachable(1) == {1, 2, 3}
+    assert reachable(g, 1) == {1, 2, 3}
     s = Scenario(bridge.area, bridge.comm_range, bridge.vehicles[:2])
     g2 = build_link_graph(s)
-    assert g2.reachable(1) == {1}
-    assert g2.reachable(2) == {2}
+    assert reachable(g2, 1) == {1}
+    assert reachable(g2, 2) == {2}
 
 
 def small_gen(seed, count=8, radios=1, pool=(1,), comm_range=200.0):
@@ -208,8 +209,7 @@ def all_pairs_link_graph(scenario):
                 pair, bw = select_radio_pair(scenario, unchosen)
                 adjacency[u.vehicle_id].append(unchosen._replace(radio_pair=pair, bandwidth=bw))
     positions = {v.vehicle_id: v.position for v in order}
-    near = {vid: [l.to_vehicle for l in links] for vid, links in adjacency.items()}
-    return LinkGraph(positions, near.__getitem__, lambda vid: tuple(adjacency[vid]))
+    return LinkGraph(positions, lambda vid: tuple(adjacency[vid]))
 
 
 def assert_matches_all_pairs(scenario):
@@ -217,7 +217,6 @@ def assert_matches_all_pairs(scenario):
     assert g.vehicle_ids == ref.vehicle_ids
     for vid in ref.vehicle_ids:
         assert g.position(vid) == ref.position(vid)
-        assert g.near(vid) == ref.near(vid)
         assert g.neighbors(vid) == ref.neighbors(vid)
 
 
@@ -345,8 +344,6 @@ def test_links_built_on_first_use_match_all_pairs(scenario):
     # them as the all-pairs builder makes them, whatever order they are read in
     g, ref = build_link_graph(scenario), all_pairs_link_graph(scenario)
     ids = sorted(ref.vehicle_ids)
-    assert [g.reachable(vid) for vid in ids] == [ref.reachable(vid) for vid in ids]
-    assert g.link_count() == ref.link_count()
     pair = lowest_connected_pair(g)
     assert pair == components_lowest_pair(ref)
     if pair is not None:
@@ -354,6 +351,8 @@ def test_links_built_on_first_use_match_all_pairs(scenario):
     assert g.vehicle_ids == ref.vehicle_ids
     for vid in random.Random(len(ids)).sample(ids, len(ids)):
         assert g.neighbors(vid) == ref.neighbors(vid)
+    assert [reachable(g, vid) for vid in ids] == [reachable(ref, vid) for vid in ids]
+    assert g.link_count() == ref.link_count()
 
 
 def test_a_graph_is_freed_without_the_cyclic_collector():
@@ -364,7 +363,7 @@ def test_a_graph_is_freed_without_the_cyclic_collector():
         g = build_link_graph(fleet_at_sweep_density(1, 300))
         pair = lowest_connected_pair(g)
         for vid in pair:
-            assert g.neighbors(vid) and g.near(vid)
+            assert g.neighbors(vid)
         graph = weakref.ref(g)
         del g
         assert graph() is None
